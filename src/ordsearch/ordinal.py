@@ -15,12 +15,17 @@ and formatting use a small grammar::
     atom := nat | "w" | "(" ord ")"
 
 with terms in strictly decreasing exponent order and ``nat`` a decimal >= 1.
-Canonical output omits ``^1`` and ``*1``.
+Canonical output omits ``^1`` and ``*1``.  Exponents may nest at most
+``MAX_EXPONENT_DEPTH`` deep (``w^(w^w)`` nests two deep); deeper text is
+rejected with ``OrdinalParseError``, because parsing and formatting recurse
+once per level.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+MAX_EXPONENT_DEPTH = 100
 
 
 class OrdinalParseError(ValueError):
@@ -302,6 +307,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # exponents open around the current position
 
     def error(self, message: str) -> OrdinalParseError:
         return OrdinalParseError(message, self.pos)
@@ -341,7 +347,11 @@ class _Parser:
             exponent = ONE
             if self.peek() == "^":
                 self.pos += 1
+                if self.depth == MAX_EXPONENT_DEPTH:
+                    raise self.error(f"exponents nested deeper than {MAX_EXPONENT_DEPTH}")
+                self.depth += 1
                 exponent = self.parse_atom()
+                self.depth -= 1
             coeff = 1
             if self.peek() == "*":
                 self.pos += 1

@@ -1,14 +1,16 @@
 """The three search algorithms and the traversal trees they induce.
 
 ``deterministic_search`` grows a visited set one vertex at a time, always
-taking the numerically least vertex adjacent to the visited set, and records
-the full candidate frontier at every stage.  ``bfs_search`` is the queue
-variant: when a vertex is processed its unseen neighbors are appended to the
-queue in ascending order, and the queue itself, once complete, is the visit
-order.  ``alt_search`` computes the same order as ``deterministic_search`` by
-a divide and conquer scheme: remove the greatest remaining vertex, traverse
-the start's component, then traverse the rest from that removed vertex.  The
-agreement of the two is a checked property, not an assumption.
+taking the numerically least vertex adjacent to the visited set.  It keeps
+only the visit order; each stage's candidate frontier is derived from it on
+demand, so a caller that wants no trace pays for none.  ``bfs_search`` is
+the queue variant: when a vertex is processed its unseen neighbors are
+appended to the queue in ascending order, and the queue itself, once
+complete, is the visit order.  ``alt_search`` computes the same order as
+``deterministic_search`` by a divide and conquer scheme: remove the greatest
+remaining vertex, traverse the start's component, then traverse the rest
+from that removed vertex.  The agreement of the two is a checked property,
+not an assumption.
 
 A traversal's least-neighbor map sends every vertex except the first to its
 earliest neighbor in the order; symmetrizing it yields a spanning tree, and
@@ -17,8 +19,9 @@ re-running the matching search on that tree reproduces the traversal.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator, Mapping, Sequence
 
 from .graph import (
@@ -40,19 +43,46 @@ class ChoiceStage:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Deterministic search run: visit order plus per-stage frontier records.
+    """Deterministic search run.  Only the visit order is stored; the graph
+    is kept (outside ``==`` and ``repr``) so that the per-stage frontiers can
+    be derived on demand by replaying the order.
 
     stages[i].chosen == visit_order[i]; the stage-0 frontier is the start
-    vertex alone.
+    vertex alone.  ``stages`` and ``stage_lines`` each replay the order, in
+    time and memory proportional to the total size of the frontiers.
     """
 
     visit_order: Traversal
-    stages: tuple[ChoiceStage, ...]
+    graph: OrderedGraph = field(compare=False, repr=False)
+
+    def _frontiers(self) -> Iterator[list[int]]:
+        """The sorted frontier before each pick; the same list is yielded
+        every stage, so copy it to keep it."""
+        adjacency = self.graph.adjacency
+        seen = bytearray(self.graph.vertex_count)
+        start = self.visit_order[0]
+        seen[start] = 1
+        frontier = [start]
+        for v in self.visit_order:
+            yield frontier
+            del frontier[0]
+            for w in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    insort(frontier, w)
+
+    @property
+    def stages(self) -> tuple[ChoiceStage, ...]:
+        return tuple(
+            ChoiceStage(v, tuple(frontier))
+            for v, frontier in zip(self.visit_order, self._frontiers())
+        )
 
     def stage_lines(self) -> list[str]:
+        names = list(map(str, range(self.graph.vertex_count)))
         return [
-            f"stage {i}: pick {s.chosen} from {{{' '.join(map(str, s.frontier))}}}"
-            for i, s in enumerate(self.stages)
+            f"stage {i}: pick {names[v]} from {{{' '.join(map(names.__getitem__, frontier))}}}"
+            for i, (v, frontier) in enumerate(zip(self.visit_order, self._frontiers()))
         ]
 
 
@@ -107,29 +137,23 @@ def deterministic_search(g: OrderedGraph, start: int = 0) -> SearchTrace:
     reached."""
     _check_start(g, start)
     n = g.vertex_count
-    visited = bytearray(n)
-    in_frontier = bytearray(n)
-    frontier: list[int] = []  # heap; every entry is a current frontier vertex
-    order = [start]
-    stages = [ChoiceStage(start, (start,))]
-    visited[start] = 1
-    for w in g.adjacency[start]:
-        in_frontier[w] = 1
-        heapq.heappush(frontier, w)
+    adjacency = g.adjacency
+    # A vertex is marked when it enters the frontier, so each vertex is
+    # pushed once and the heap holds exactly the current frontier.
+    seen = bytearray(n)
+    seen[start] = 1
+    frontier = [start]
+    order = []
     while frontier:
-        snapshot = tuple(sorted(frontier))
-        v = heapq.heappop(frontier)
-        in_frontier[v] = 0
-        visited[v] = 1
+        v = heappop(frontier)
         order.append(v)
-        stages.append(ChoiceStage(v, snapshot))
-        for w in g.adjacency[v]:
-            if not visited[w] and not in_frontier[w]:
-                in_frontier[w] = 1
-                heapq.heappush(frontier, w)
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = 1
+                heappush(frontier, w)
     if len(order) != n:
-        raise DisconnectedGraphError(_first_unreached(g, visited), start)
-    return SearchTrace(tuple(order), tuple(stages))
+        raise DisconnectedGraphError(_first_unreached(g, seen), start)
+    return SearchTrace(tuple(order), g)
 
 
 def bfs_search(g: OrderedGraph, start: int = 0) -> BfsTrace:
@@ -164,52 +188,60 @@ def alt_search(g: OrderedGraph, start: int = 0) -> Traversal:
 
 def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, dict[str, int]]:
     """As alt_search, also returning crude work counters: ``splits`` is the
-    number of two-way splits performed and ``scanned`` the total number of
-    vertices touched by component scans."""
+    number of two-way splits performed and ``scanned`` the total size of the
+    vertex sets that were split.
+
+    Every split scans its vertex set and the edges inside it, and the split
+    chain can be as long as the vertex count, so the run takes O(n*(n+m))
+    time; memory stays O(n+m).
+    """
     _check_start(g, start)
-    if g.vertex_count > 1 and not _reaches_all(g, start):
-        raise DisconnectedGraphError(_first_unreached_from(g, start), start)
-    counts = {"splits": 0, "scanned": 0}
+    n = g.vertex_count
+    adjacency = g.adjacency
+    reached = _reached_from(g, start)
+    if not all(reached):
+        raise DisconnectedGraphError(_first_unreached(g, reached), start)
+    splits = scanned = 0
     order: list[int] = []
-    # Explicit work stack; the split chain can be as long as the vertex count.
-    stack: list[tuple[frozenset[int], int]] = [(frozenset(range(g.vertex_count)), start)]
+    # owner[u] is the id of the pending subproblem that holds u.  Each
+    # subproblem is (sorted member list, vertex to start from, id); the lists
+    # on the stack are disjoint.  An explicit stack, because the split chain
+    # can be as long as the vertex count.
+    owner = [0] * n
+    stack: list[tuple[list[int], int, int]] = [(list(range(n)), start, 0)]
     while stack:
-        members, v = stack.pop()
+        members, v, mid = stack.pop()
         if len(members) == 1:
             order.append(v)
             continue
-        w = max(members - {v})
-        x_side = _component_within(g, members - {w}, v)
-        counts["splits"] += 1
-        counts["scanned"] += len(members)
-        y_side = members - x_side
-        stack.append((y_side, w))
-        stack.append((x_side, v))
-    return tuple(order), counts
+        w = members[-1] if members[-1] != v else members[-2]
+        # v's component without w becomes the new subproblem xid; the rest,
+        # w included, keeps the id mid.
+        splits += 1
+        scanned += len(members)
+        xid = splits
+        owner[v] = xid
+        todo = [v]
+        while todo:
+            for x in adjacency[todo.pop()]:
+                if owner[x] == mid and x != w:
+                    owner[x] = xid
+                    todo.append(x)
+        stack.append(([u for u in members if owner[u] == mid], w, mid))
+        stack.append(([u for u in members if owner[u] == xid], v, xid))
+    return tuple(order), {"splits": splits, "scanned": scanned}
 
 
-def _component_within(g: OrderedGraph, allowed: frozenset[int], v: int) -> frozenset[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for x in g.adjacency[u]:
-            if x in allowed and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(seen)
-
-
-def _reaches_all(g: OrderedGraph, start: int) -> bool:
-    return len(_component_within(g, frozenset(range(g.vertex_count)), start)) == g.vertex_count
-
-
-def _first_unreached_from(g: OrderedGraph, start: int) -> int:
-    comp = _component_within(g, frozenset(range(g.vertex_count)), start)
-    for v in range(g.vertex_count):
-        if v not in comp:
-            return v
-    raise AssertionError("no unreached vertex")
+def _reached_from(g: OrderedGraph, start: int) -> bytearray:
+    reached = bytearray(g.vertex_count)
+    reached[start] = 1
+    todo = [start]
+    while todo:
+        for x in g.adjacency[todo.pop()]:
+            if not reached[x]:
+                reached[x] = 1
+                todo.append(x)
+    return reached
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from ordsearch.cli import main
 from ordsearch.graph import deserialize, serialize
+from ordsearch.ordinal import MAX_EXPONENT_DEPTH
 from ordsearch.witness import build_zeta_witness, format_manifest
 
 SIX = "n 6\ne 0 1\ne 1 2\ne 2 4\ne 4 5\ne 5 0\ne 3 5\n"
@@ -14,6 +15,11 @@ def six_file(tmp_path):
     path = tmp_path / "six.g"
     path.write_text(SIX)
     return str(path)
+
+
+def tower(depth):
+    """``w^(w^(...(w)...))`` with ``depth`` nested exponents."""
+    return "w^(" * depth + "w" + ")" * depth
 
 
 def run(capsys, *argv):
@@ -188,6 +194,18 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "w++")
         assert code == 2
         assert "error:" in err
+
+    def test_deep_tower_is_input_error(self, capsys):
+        code, out, err = run(capsys, "zeta", tower(2000))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_tower_at_nesting_limit(self, capsys):
+        # zeta(w^X) = w^(w^X) for infinite X
+        code, out, _ = run(capsys, "zeta", tower(MAX_EXPONENT_DEPTH))
+        assert code == 0
+        assert out == "w^(" * MAX_EXPONENT_DEPTH + "w^w" + ")" * MAX_EXPONENT_DEPTH + "\n"
 
 
 class TestRandom:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,11 +9,13 @@ from ordsearch.graph import (
     DisconnectedGraphError,
     OrderedGraph,
     invert_permutation,
+    is_connected,
     random_connected_graph,
     relabel,
 )
 from ordsearch.predicates import is_traversal
 from ordsearch.search import (
+    ChoiceStage,
     alt_search,
     alt_search_with_counts,
     bfs_search,
@@ -23,18 +27,33 @@ from ordsearch.search import (
 
 def brute_force_stage_simulation(g, start):
     """Reference implementation: recompute the frontier from scratch each
-    stage by scanning all vertices, with no incremental state."""
+    stage by scanning all vertices, with no incremental state.  Returns the
+    visit order and every stage's frontier (the start alone at stage 0), or
+    None if some vertex is never reached."""
     order = [start]
+    frontiers = [(start,)]
     while len(order) < g.vertex_count:
-        frontier = [
+        frontier = tuple(
             v
             for v in range(g.vertex_count)
             if v not in order and any(u in order for u in g.adjacency[v])
-        ]
+        )
         if not frontier:
             return None
+        frontiers.append(frontier)
         order.append(min(frontier))
-    return tuple(order)
+    return tuple(order), tuple(frontiers)
+
+
+def assert_matches_brute_force(g, start):
+    order, frontiers = brute_force_stage_simulation(g, start)
+    trace = deterministic_search(g, start)
+    assert trace.visit_order == order
+    assert trace.stages == tuple(ChoiceStage(v, f) for v, f in zip(order, frontiers))
+    assert trace.stage_lines() == [
+        f"stage {i}: pick {v} from {{{' '.join(map(str, f))}}}"
+        for i, (v, f) in enumerate(zip(order, frontiers))
+    ]
 
 
 class TestDeterministicSearch:
@@ -42,23 +61,46 @@ class TestDeterministicSearch:
         assert deterministic_search(path_graph(3)).visit_order == (0, 1, 2)
 
     def test_six_cycle_tail(self, six_cycle_tail):
-        assert brute_force_stage_simulation(six_cycle_tail, 0) == (0, 1, 2, 4, 5, 3)
+        assert brute_force_stage_simulation(six_cycle_tail, 0)[0] == (0, 1, 2, 4, 5, 3)
         assert deterministic_search(six_cycle_tail).visit_order == (0, 1, 2, 4, 5, 3)
 
     def test_zigzag_path(self):
         g = OrderedGraph(4, ((0, 3), (3, 1), (1, 2)))
-        assert brute_force_stage_simulation(g, 0) == (0, 3, 1, 2)
+        assert brute_force_stage_simulation(g, 0)[0] == (0, 3, 1, 2)
         assert deterministic_search(g).visit_order == (0, 3, 1, 2)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(21)
         for _ in range(60):
             g = random_connected_graph(rng.randint(1, 12), 0.35, rng.randint(0, 9999))
-            start = rng.randrange(g.vertex_count)
-            assert (
-                deterministic_search(g, start).visit_order
-                == brute_force_stage_simulation(g, start)
-            )
+            assert_matches_brute_force(g, rng.randrange(g.vertex_count))
+
+    def test_matches_brute_force_on_all_small_graphs(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+                if not is_connected(g):
+                    continue
+                for start in range(n):
+                    assert_matches_brute_force(g, start)
+                    checked += 1
+        # 1 + 1*2 + 4*3 + 38*4 + 728*5 (connected labelled graphs times starts)
+        assert checked == 3807
+
+    def test_trace_free_run_stores_no_frontiers(self):
+        # Storing every stage's frontier costs about n^2/2 entries on a star.
+        g = star_graph(5000)
+        g.adjacency  # build the index outside the measurement
+        tracemalloc.start()
+        try:
+            order = deterministic_search(g).visit_order
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert order == tuple(range(5000))
+        assert peak < 2 * 2**20
 
     def test_trace_records_choice_per_stage(self, six_cycle_tail):
         trace = deterministic_search(six_cycle_tail)
@@ -84,7 +126,7 @@ class TestDeterministicSearch:
 
     def test_start_parameter(self, six_cycle_tail):
         assert deterministic_search(six_cycle_tail, 3).visit_order == (3, 5, 0, 1, 2, 4)
-        assert brute_force_stage_simulation(six_cycle_tail, 3) == (3, 5, 0, 1, 2, 4)
+        assert brute_force_stage_simulation(six_cycle_tail, 3)[0] == (3, 5, 0, 1, 2, 4)
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
