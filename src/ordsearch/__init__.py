@@ -7,13 +7,12 @@ from .graph import (
     GraphFormatError,
     OrderedGraph,
     Traversal,
-    component_excluding,
     deserialize,
     dot_export,
     induced_subgraph,
     is_connected,
-    neighbors,
     random_connected_graph,
+    reach,
     relabel,
     serialize,
 )
@@ -21,14 +20,12 @@ from .ordinal import Ordinal, OrdinalParseError, cofinality, fundamental_sequenc
 from .predicates import (
     TraversalSet,
     closure_samples,
-    colex_compare_inverse,
     enumerate_traversals,
     has_decreasing_neighbors,
     is_breadth_first,
     is_depth_first,
     is_traversal,
     level_decomposition,
-    lex_compare,
     verify_colex_max,
     verify_lex_min,
     verify_quotient_stability,

@@ -26,11 +26,12 @@ from .graph import (
 from .ordinal import Ordinal, OrdinalParseError, zeta
 from .predicates import (
     closure_samples,
-    colex_inverse_key,
     enumerate_traversals,
     is_breadth_first,
     is_depth_first,
     is_traversal,
+    verify_colex_max,
+    verify_lex_min,
     verify_quotient_stability,
     verify_subset_stability,
 )
@@ -67,6 +68,10 @@ class _Verdicts:
         print(line)
         if not ok:
             self.failed = True
+
+    def emit_all(self, verdicts: dict[str, bool]) -> None:
+        for name, ok in verdicts.items():
+            self.emit(name, ok)
 
     def exit_code(self) -> int:
         return 1 if self.failed else 0
@@ -143,19 +148,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.probes < 0:
+        raise ValueError("--probes must be >= 0")
     g = _read_graph(args.graph)
     verdicts = _Verdicts()
     if args.suite == "lexmin":
-        tau = deterministic_search(g).visit_order
-        ts = enumerate_traversals(g, "all", fixed_start=0)
-        verdicts.emit("lex-min-traversal", tau == min(ts.orders))
-        beta = bfs_search(g).visit_order
-        bf = enumerate_traversals(g, "breadth_first", fixed_start=0)
-        verdicts.emit("lex-min-breadth-first", beta == min(bf.orders))
+        verdicts.emit_all(verify_lex_min(g))
     elif args.suite == "colexmax":
-        tau = deterministic_search(g).visit_order
-        ts = enumerate_traversals(g, "all", fixed_start=0)
-        verdicts.emit("colex-max-inverse", tau == max(ts.orders, key=colex_inverse_key))
+        verdicts.emit_all(verify_colex_max(g))
     elif args.suite == "stability":
         sets = closure_samples(g, args.seed, 12)
         verdicts.emit(
@@ -215,12 +215,10 @@ def _cmd_verify(args) -> int:
 def _cmd_witness(args) -> int:
     build = build_zeta_witness(args.m, args.n, args.k)
     print(format_manifest(build), end="")
+    verdicts = _Verdicts()
     if args.verify:
-        verdict = verify_witness(build)
-        for line in verdict.lines():
-            print(line)
-        return 0 if verdict.all_pass() else 1
-    return 0
+        verdicts.emit_all(verify_witness(build).by_name())
+    return verdicts.exit_code()
 
 
 def _cmd_zeta(args) -> int:
@@ -236,19 +234,11 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.only is not None:
-        matches = [c for c in acceptance.CRITERIA if c.number == args.only]
-        if not matches:
-            print(f"no criterion numbered {args.only}", file=sys.stderr)
-            return 2
-        criterion = matches[0]
-        ok, elapsed, detail = acceptance.run_criterion(criterion)
-        line = f"criterion {criterion.number} {criterion.name}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)"
-        if detail:
-            line += f" [{detail[:120]}]"
-        print(line)
-        return 0 if ok else 1
-    return 0 if acceptance.run_all() else 1
+    criteria = [c for c in acceptance.CRITERIA if args.only in (None, c.number)]
+    if not criteria:
+        print(f"no criterion numbered {args.only}", file=sys.stderr)
+        return 2
+    return 0 if acceptance.run_all(criteria=criteria) else 1
 
 
 def _add_graph_arg(parser: argparse.ArgumentParser) -> None:

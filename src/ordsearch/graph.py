@@ -85,26 +85,32 @@ class OrderedGraph:
         return len(self.neighbors(v))
 
 
+def reach(g: OrderedGraph, start: int, marks: bytearray | None = None) -> bytearray:
+    """Mark ``start`` and every vertex reachable from it through unmarked
+    vertices; returns ``marks``, one byte per vertex (fresh when omitted).
+
+    Vertices marked beforehand are walls: the search neither enters nor
+    passes them, so pre-marking restricts it to the rest of the graph.
+    Iterative depth-first search, O(n + m).
+    """
+    if marks is None:
+        marks = bytearray(g.vertex_count)
+    adjacency = g.adjacency
+    marks[start] = 1
+    stack = [start]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if not marks[v]:
+                marks[v] = 1
+                stack.append(v)
+    return marks
+
+
 def is_connected(g: OrderedGraph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
     if g.vertex_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    seen = bytearray(g.vertex_count)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.vertex_count
-
-
-def neighbors(g: OrderedGraph, v: int) -> tuple[int, ...]:
-    return g.neighbors(v)
+    return 0 not in reach(g, 0)
 
 
 def induced_subgraph(g: OrderedGraph, w: Iterable[int]) -> tuple[OrderedGraph, tuple[int, ...]]:
@@ -126,23 +132,6 @@ def induced_subgraph(g: OrderedGraph, w: Iterable[int]) -> tuple[OrderedGraph, t
         if u in index and v in index
     ]
     return OrderedGraph(len(kept), tuple(edges)), tuple(kept)
-
-
-def component_excluding(g: OrderedGraph, v: int, removed: int) -> frozenset[int]:
-    """Connected component of v after deleting ``removed`` and its edges."""
-    if v == removed:
-        raise ValueError("v must differ from the removed vertex")
-    if not (0 <= v < g.vertex_count and 0 <= removed < g.vertex_count):
-        raise ValueError("vertex out of range")
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for x in g.adjacency[u]:
-            if x != removed and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(seen)
 
 
 def is_permutation(order: Sequence[int], n: int) -> bool:
@@ -218,6 +207,13 @@ def serialize(g: OrderedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numeral(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # a literal beyond Python's digit limit
+        raise GraphFormatError(f"unreadable number: {exc}", lineno) from None
+
+
 def deserialize(text: str) -> OrderedGraph:
     """Parse the line-based graph format, reporting errors with line numbers."""
     vertex_count = None
@@ -231,15 +227,15 @@ def deserialize(text: str) -> OrderedGraph:
         if fields[0] == "n":
             if vertex_count is not None:
                 raise GraphFormatError("duplicate vertex count line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise GraphFormatError("expected 'n <count>'", lineno)
-            vertex_count = int(fields[1])
+            vertex_count = _numeral(fields[1], lineno)
         elif fields[0] == "e":
             if vertex_count is None:
                 raise GraphFormatError("edge before vertex count line", lineno)
-            if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+            if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _numeral(fields[1], lineno), _numeral(fields[2], lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
             if u >= vertex_count or v >= vertex_count:

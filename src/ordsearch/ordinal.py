@@ -216,15 +216,6 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal._raw(((ONE, 1),))
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """Three-way comparison: -1, 0 or 1 as a <, =, > b."""
-    if a._key < b._key:
-        return -1
-    if a._key > b._key:
-        return 1
-    return 0
-
-
 def omega_power(a: Ordinal) -> Ordinal:
     """w raised to the ordinal a."""
     if a.is_zero:
@@ -357,7 +348,7 @@ class _Parser:
                 self.pos += 1
                 coeff = self.parse_nat()
             return exponent, coeff
-        if self.peek().isdigit():
+        if self.peek().isdecimal():
             return ZERO, self.parse_nat()
         raise self.error("expected a term")
 
@@ -371,17 +362,21 @@ class _Parser:
             value = self.parse_ord()
             self.take(")")
             return value
-        if ch.isdigit():
+        if ch.isdecimal():
             return Ordinal.from_int(self.parse_nat())
         raise self.error("expected an exponent")
 
     def parse_nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        value = int(self.text[start:self.pos])
+        try:
+            value = int(self.text[start:self.pos])
+        except ValueError as exc:  # a literal beyond Python's digit limit
+            self.pos = start
+            raise self.error(f"unreadable number: {exc}") from None
         if value < 1:
             self.pos = start
             raise self.error("number must be >= 1")

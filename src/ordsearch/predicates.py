@@ -30,8 +30,8 @@ from .graph import (
     Traversal,
     induced_subgraph,
     invert_permutation,
-    is_connected,
     is_permutation,
+    reach,
 )
 from .search import bfs_search, deterministic_search, least_neighbor_map
 
@@ -165,35 +165,11 @@ def is_depth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     return True
 
 
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """-1, 0 or 1 by the first disagreeing position."""
-    if len(a) != len(b):
-        raise ValueError("orders must have the same length")
-    ta, tb = tuple(a), tuple(b)
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
-
-
 def colex_inverse_key(order: Sequence[int]) -> tuple[int, ...]:
     """Positions of the greatest vertex down to the least; comparing these
     keys compares inverse permutations colexicographically."""
     positions = invert_permutation(order)
     return tuple(reversed(positions))
-
-
-def colex_compare_inverse(a: Sequence[int], b: Sequence[int]) -> int:
-    """Compare inverse permutations on the last coordinate first."""
-    if len(a) != len(b):
-        raise ValueError("orders must have the same length")
-    ka, kb = colex_inverse_key(a), colex_inverse_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def _predicates_for(kind: str):
@@ -217,9 +193,9 @@ def enumerate_traversals(
     predicate = _predicates_for(kind)
     if g.vertex_count == 0:
         raise ValueError("no traversals of the empty graph")
-    if not is_connected(g):
-        comp = _component_of(g, 0)
-        raise DisconnectedGraphError(min(set(range(g.vertex_count)) - comp), 0)
+    reached = reach(g, 0)
+    if 0 in reached:
+        raise DisconnectedGraphError(reached.index(0), 0)
     if fixed_start is not None and not 0 <= fixed_start < g.vertex_count:
         raise ValueError(f"start vertex {fixed_start} out of range")
     starts = [fixed_start] if fixed_start is not None else list(range(g.vertex_count))
@@ -245,18 +221,6 @@ def enumerate_traversals(
                     continue
                 stack.append(extended)
     return TraversalSet(kind, frozenset(found))
-
-
-def _component_of(g: OrderedGraph, v: int) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _bf_prefix_ok(g: OrderedGraph, prefix: tuple[int, ...]) -> bool:
@@ -292,34 +256,32 @@ def _df_prefix_ok(g: OrderedGraph, prefix: tuple[int, ...]) -> bool:
     return True
 
 
-def verify_lex_min(g: OrderedGraph) -> bool:
-    """Search output must be lexicographically least among all traversals
-    from vertex 0, and the breadth-first output least among breadth-first
-    traversals from vertex 0."""
+def verify_lex_min(g: OrderedGraph) -> dict[str, bool]:
+    """Verdicts by name: the search output is the lexicographically least
+    traversal from vertex 0, and the breadth-first output the least
+    breadth-first traversal from vertex 0."""
     tau = deterministic_search(g, 0).visit_order
     all_from_zero = enumerate_traversals(g, "all", fixed_start=0)
-    if tau not in all_from_zero or tau != min(all_from_zero.orders):
-        return False
     beta = bfs_search(g, 0).visit_order
     bf_from_zero = enumerate_traversals(g, "breadth_first", fixed_start=0)
-    return beta in bf_from_zero and beta == min(bf_from_zero.orders)
+    return {
+        "lex-min-traversal": tau == min(all_from_zero.orders),
+        "lex-min-breadth-first": beta == min(bf_from_zero.orders),
+    }
 
 
-def verify_colex_max(g: OrderedGraph) -> bool:
-    """Search output's inverse must be colexicographically greatest among
-    inverses of traversals from vertex 0."""
+def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
+    """Verdict by name: the search output's inverse is colexicographically
+    greatest among inverses of traversals from vertex 0."""
     tau = deterministic_search(g, 0).visit_order
     candidates = enumerate_traversals(g, "all", fixed_start=0)
-    best = max(candidates.orders, key=colex_inverse_key)
-    return tau == best
+    return {"colex-max-inverse": tau == max(candidates.orders, key=colex_inverse_key)}
 
 
 def closure_samples(g: OrderedGraph, seed: int, count: int) -> list[frozenset[int]]:
     """Vertex sets closed under the search traversal's least-neighbor map,
     obtained by closing random seed sets.  At most ``count`` distinct sets
     are returned (small graphs may admit fewer)."""
-    if not is_connected(g):
-        raise DisconnectedGraphError(min(set(range(g.vertex_count)) - _component_of(g, 0)), 0)
     tau = deterministic_search(g, 0).visit_order
     parent = least_neighbor_map(g, tau).parent
     rng = random.Random(seed)
@@ -376,14 +338,19 @@ def verify_quotient_stability(g: OrderedGraph, parts: Sequence[Iterable[int]]) -
     positions = invert_permutation(tau)
     parent = least_neighbor_map(g, tau).parent
     anchors = []
+    outside = bytearray(b"\x01") * g.vertex_count
     for i, part in enumerate(part_sets):
         by_pos = sorted(positions[v] for v in part)
         if by_pos[-1] - by_pos[0] + 1 != len(part):
             raise ValueError(f"part {i} is not an interval of the traversal")
         anchor = tau[by_pos[0]]
         anchors.append(anchor)
-        sub, _ = induced_subgraph(g, part)
-        if not is_connected(sub):
+        # Only this part is unmarked, so the search stays inside it; a part
+        # that passes is left marked again for the next one.
+        for v in part:
+            outside[v] = 0
+        reach(g, anchor, outside)
+        if not all(outside[v] for v in part):
             raise ValueError(f"part {i} does not induce a connected subgraph")
         for v in part:
             if v != anchor and parent[v] not in part:

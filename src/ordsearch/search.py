@@ -30,6 +30,7 @@ from .graph import (
     Traversal,
     invert_permutation,
     is_permutation,
+    reach,
 )
 
 
@@ -47,9 +48,10 @@ class SearchTrace:
     is kept (outside ``==`` and ``repr``) so that the per-stage frontiers can
     be derived on demand by replaying the order.
 
-    stages[i].chosen == visit_order[i]; the stage-0 frontier is the start
-    vertex alone.  ``stages`` and ``stage_lines`` each replay the order, in
-    time and memory proportional to the total size of the frontiers.
+    Stage i of ``stages()`` picks visit_order[i]; the stage-0 frontier is
+    the start vertex alone.  Each call of ``stages()`` or ``stage_lines()``
+    replays the order, in time proportional to the total size of the
+    frontiers.
     """
 
     visit_order: Traversal
@@ -71,12 +73,9 @@ class SearchTrace:
                     seen[w] = 1
                     insort(frontier, w)
 
-    @property
-    def stages(self) -> tuple[ChoiceStage, ...]:
-        return tuple(
-            ChoiceStage(v, tuple(frontier))
-            for v, frontier in zip(self.visit_order, self._frontiers())
-        )
+    def stages(self) -> Iterator[ChoiceStage]:
+        for v, frontier in zip(self.visit_order, self._frontiers()):
+            yield ChoiceStage(v, tuple(frontier))
 
     def stage_lines(self) -> list[str]:
         names = list(map(str, range(self.graph.vertex_count)))
@@ -124,13 +123,6 @@ def _check_start(g: OrderedGraph, start: int) -> None:
         raise ValueError(f"start vertex {start} out of range")
 
 
-def _first_unreached(g: OrderedGraph, reached: Sequence[int]) -> int:
-    for v in range(g.vertex_count):
-        if not reached[v]:
-            return v
-    raise AssertionError("no unreached vertex")
-
-
 def deterministic_search(g: OrderedGraph, start: int = 0) -> SearchTrace:
     """Visit all vertices, at each stage taking the least vertex adjacent to
     the visited set.  Raises DisconnectedGraphError if some vertex is never
@@ -152,7 +144,7 @@ def deterministic_search(g: OrderedGraph, start: int = 0) -> SearchTrace:
                 seen[w] = 1
                 heappush(frontier, w)
     if len(order) != n:
-        raise DisconnectedGraphError(_first_unreached(g, seen), start)
+        raise DisconnectedGraphError(seen.index(0), start)
     return SearchTrace(tuple(order), g)
 
 
@@ -175,7 +167,7 @@ def bfs_search(g: OrderedGraph, start: int = 0) -> BfsTrace:
                 queue.append(w)
         alpha += 1
     if len(queue) != n:
-        raise DisconnectedGraphError(_first_unreached(g, enqueued), start)
+        raise DisconnectedGraphError(enqueued.index(0), start)
     return BfsTrace(tuple(queue), tuple(qlens))
 
 
@@ -198,9 +190,9 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     _check_start(g, start)
     n = g.vertex_count
     adjacency = g.adjacency
-    reached = _reached_from(g, start)
-    if not all(reached):
-        raise DisconnectedGraphError(_first_unreached(g, reached), start)
+    reached = reach(g, start)
+    if 0 in reached:
+        raise DisconnectedGraphError(reached.index(0), start)
     splits = scanned = 0
     order: list[int] = []
     # owner[u] is the id of the pending subproblem that holds u.  Each
@@ -230,18 +222,6 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
         stack.append(([u for u in members if owner[u] == mid], w, mid))
         stack.append(([u for u in members if owner[u] == xid], v, xid))
     return tuple(order), {"splits": splits, "scanned": scanned}
-
-
-def _reached_from(g: OrderedGraph, start: int) -> bytearray:
-    reached = bytearray(g.vertex_count)
-    reached[start] = 1
-    todo = [start]
-    while todo:
-        for x in g.adjacency[todo.pop()]:
-            if not reached[x]:
-                reached[x] = 1
-                todo.append(x)
-    return reached
 
 
 @dataclass(frozen=True)

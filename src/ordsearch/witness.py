@@ -76,21 +76,16 @@ class WitnessVerdict:
     profile_matches: bool
 
     def all_pass(self) -> bool:
-        return (
-            self.predicted_matches_search
-            and self.blocks_are_intervals
-            and self.quotient_stable
-            and self.profile_matches
-        )
+        return all(self.by_name().values())
 
-    def lines(self) -> list[str]:
-        entries = [
-            ("predicted-traversal", self.predicted_matches_search),
-            ("block-intervals", self.blocks_are_intervals),
-            ("quotient-stability", self.quotient_stable),
-            ("zeta-profile", self.profile_matches),
-        ]
-        return [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in entries]
+    def by_name(self) -> dict[str, bool]:
+        """The four verdicts under their CLI names, in CLI order."""
+        return {
+            "predicted-traversal": self.predicted_matches_search,
+            "block-intervals": self.blocks_are_intervals,
+            "quotient-stability": self.quotient_stable,
+            "zeta-profile": self.profile_matches,
+        }
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,6 @@ from ordsearch.acceptance import CRITERIA, run_criterion
     "criterion", CRITERIA, ids=[f"{c.number}-{c.name}" for c in CRITERIA]
 )
 def test_criterion(criterion):
-    ok, elapsed, detail = run_criterion(criterion)
-    print(f"criterion {criterion.number} {criterion.name}: "
-          f"{'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)")
-    assert ok, f"criterion {criterion.number} {criterion.name} failed: {detail}"
-    assert elapsed <= criterion.budget_seconds, (
-        f"criterion {criterion.number} took {elapsed:.2f}s, "
-        f"budget {criterion.budget_seconds:.0f}s"
-    )
+    ok, line = run_criterion(criterion)
+    print(line)
+    assert ok, line

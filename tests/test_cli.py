@@ -1,11 +1,13 @@
 import io
+import time
 
 import pytest
 
+from ordsearch import acceptance, cli
 from ordsearch.cli import main
 from ordsearch.graph import deserialize, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
-from ordsearch.witness import build_zeta_witness, format_manifest
+from ordsearch.witness import WitnessVerdict, build_zeta_witness, format_manifest
 
 SIX = "n 6\ne 0 1\ne 1 2\ne 2 4\ne 4 5\ne 5 0\ne 3 5\n"
 
@@ -83,6 +85,17 @@ class TestTraversalCommands:
         code, _, err = run(capsys, "search", "/nonexistent/file.g")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "text", ["n 3\ne 0 \u00b2\n", "n 3\ne 0 " + "1" * 5000 + "\n"], ids=["superscript", "long"]
+    )
+    def test_bad_numeral_names_its_line(self, capsys, tmp_path, text):
+        path = tmp_path / "g"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "search", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: ")
 
 
 class TestTree:
@@ -165,6 +178,26 @@ class TestVerify:
         assert "note: bfs-after-search equals bfs on this input: no" in out
         assert "probed orders" in out
 
+    def test_negative_probes_is_usage_error(self, capsys, six_file):
+        code, out, err = run(capsys, "verify", six_file, "--suite", "identities", "--probes", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--probes" in err
+
+    def test_extremality_lines(self, capsys, six_file):
+        code, out, _ = run(capsys, "verify", six_file, "--suite", "lexmin")
+        assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
+        code, out, _ = run(capsys, "verify", six_file, "--suite", "colexmax")
+        assert (code, out) == (0, "colex-max-inverse: PASS\n")
+
+    def test_failed_verdict_exits_1(self, capsys, monkeypatch, six_file):
+        monkeypatch.setattr(
+            cli, "verify_lex_min",
+            lambda g: {"lex-min-traversal": True, "lex-min-breadth-first": False},
+        )
+        code, out, _ = run(capsys, "verify", six_file, "--suite", "lexmin")
+        assert (code, out) == (1, "lex-min-traversal: PASS\nlex-min-breadth-first: FAIL\n")
+
 
 class TestWitness:
     def test_manifest(self, capsys):
@@ -177,6 +210,15 @@ class TestWitness:
         assert code == 0
         assert "predicted-traversal: PASS" in out
         assert "zeta-profile: PASS" in out
+
+    def test_failed_certificate_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_witness", lambda build: WitnessVerdict(True, True, False, True))
+        code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2", "--verify")
+        assert code == 1
+        assert out.endswith(
+            "predicted-traversal: PASS\nblock-intervals: PASS\n"
+            "quotient-stability: FAIL\nzeta-profile: PASS\n"
+        )
 
     def test_envelope_error(self, capsys):
         code, _, err = run(capsys, "witness", "--m", "9", "--n", "0", "--k", "2")
@@ -194,6 +236,15 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "w++")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "text, position", [("w^\u00b2", 2), ("w*" + "9" * 5000, 2)], ids=["superscript", "long"]
+    )
+    def test_bad_numeral_names_its_position(self, capsys, text, position):
+        code, out, err = run(capsys, "zeta", text)
+        assert code == 2
+        assert out == ""
+        assert err.rstrip().endswith(f"(at position {position})")
 
     def test_deep_tower_is_input_error(self, capsys):
         code, out, err = run(capsys, "zeta", tower(2000))
@@ -228,6 +279,15 @@ class TestSelftest:
     def test_unknown_criterion(self, capsys):
         code, _, err = run(capsys, "selftest", "--only", "99")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--only", "1"], []], ids=["only", "all"])
+    def test_over_budget_fails(self, capsys, monkeypatch, argv):
+        slow = acceptance.Criterion(1, "slow", 0.0, lambda: time.sleep(0.01))
+        monkeypatch.setattr(acceptance, "CRITERIA", (slow,))
+        code, out, _ = run(capsys, "selftest", *argv)
+        assert code == 1
+        assert out.startswith("criterion 1 slow: FAIL (")
+        assert "[exceeded budget of 0s]" in out
 
 
 class TestUsage:

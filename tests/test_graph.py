@@ -6,14 +6,13 @@ from conftest import complete_graph, cycle_graph, path_graph
 from ordsearch.graph import (
     GraphFormatError,
     OrderedGraph,
-    component_excluding,
     deserialize,
     dot_export,
     induced_subgraph,
     invert_permutation,
     is_connected,
-    neighbors,
     random_connected_graph,
+    reach,
     relabel,
     serialize,
 )
@@ -51,19 +50,91 @@ class TestConnectivity:
             is_connected(OrderedGraph(0))
 
 
+class TestReach:
+    def test_marks_the_component(self, six_cycle_tail):
+        assert reach(six_cycle_tail, 3) == bytearray([1] * 6)
+        assert reach(OrderedGraph(4, ((0, 2),)), 2) == bytearray([1, 0, 1, 0])
+
+    def test_updates_the_given_marks(self, six_cycle_tail):
+        # With 5 marked, 0 reaches 1, 2, 4 but not 3, which hangs off 5.
+        marks = bytearray(6)
+        marks[5] = 1
+        assert reach(six_cycle_tail, 0, marks) is marks
+        assert marks == bytearray([1, 1, 1, 0, 1, 1])
+
+    def test_start_is_marked_even_if_walled_in(self):
+        assert reach(path_graph(3), 1, bytearray([1, 0, 1])) == bytearray([1, 1, 1])
+        assert reach(path_graph(3), 0, bytearray([0, 1, 0])) == bytearray([1, 1, 0])
+
+    @pytest.mark.parametrize("walls", [False, True], ids=["unmarked", "premarked"])
+    def test_agrees_with_networkx(self, walls):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.08]
+            g = OrderedGraph(n, tuple(edges))
+            start = rng.randrange(n)
+            marked = {v for v in range(n) if v != start and walls and rng.random() < 0.3}
+            free = nx.Graph()
+            free.add_nodes_from(v for v in range(n) if v not in marked)
+            free.add_edges_from((u, v) for u, v in edges if u not in marked and v not in marked)
+            expected = nx.node_connected_component(free, start) | marked
+            marks = bytearray(n)
+            for v in marked:
+                marks[v] = 1
+            assert reach(g, start, marks) == bytearray(v in expected for v in range(n))
+
+
 class TestNeighbors:
     def test_six_cycle_tail(self, six_cycle_tail):
-        assert neighbors(six_cycle_tail, 5) == (0, 3, 4)
+        assert six_cycle_tail.neighbors(5) == (0, 3, 4)
 
     def test_path_middle(self):
-        assert neighbors(path_graph(3), 1) == (0, 2)
+        assert path_graph(3).neighbors(1) == (0, 2)
 
     def test_isolated(self):
-        assert neighbors(OrderedGraph(1), 0) == ()
+        assert OrderedGraph(1).neighbors(0) == ()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            neighbors(path_graph(2), 5)
+            path_graph(2).neighbors(5)
+
+
+def component_excluding(g, v, removed):
+    """The component of v once ``removed`` is deleted: reach from v with
+    ``removed`` pre-marked as a wall."""
+    marks = bytearray(g.vertex_count)
+    marks[removed] = 1
+    reach(g, v, marks)
+    marks[removed] = 0
+    return {u for u in range(g.vertex_count) if marks[u]}
+
+
+class TestComponentExcluding:
+    def test_six_cycle_tail(self, six_cycle_tail):
+        assert component_excluding(six_cycle_tail, 0, 5) == {0, 1, 2, 4}
+
+    def test_path_split(self):
+        assert component_excluding(path_graph(3), 0, 1) == {0}
+
+    def test_triangle(self):
+        assert component_excluding(cycle_graph(3), 0, 2) == {0, 1}
+
+    def test_partitions_remainder(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(2, 12), 0.3, rng.randint(0, 999))
+            removed = rng.randrange(g.vertex_count)
+            rest = [v for v in range(g.vertex_count) if v != removed]
+            parts = []
+            while rest:
+                comp = component_excluding(g, rest[0], removed)
+                parts.append(comp)
+                rest = [v for v in rest if v not in comp]
+            union = set().union(*parts)
+            assert union == set(range(g.vertex_count)) - {removed}
+            assert sum(len(p) for p in parts) == len(union)
 
 
 class TestInducedSubgraph:
@@ -95,36 +166,6 @@ class TestInducedSubgraph:
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
                     assert sub.has_edge(i, j) == g.has_edge(kept[i], kept[j])
-
-
-class TestComponentExcluding:
-    def test_six_cycle_tail(self, six_cycle_tail):
-        assert component_excluding(six_cycle_tail, 0, 5) == {0, 1, 2, 4}
-
-    def test_path_split(self):
-        assert component_excluding(path_graph(3), 0, 1) == {0}
-
-    def test_triangle(self):
-        assert component_excluding(cycle_graph(3), 0, 2) == {0, 1}
-
-    def test_rejects_equal_vertices(self):
-        with pytest.raises(ValueError):
-            component_excluding(path_graph(3), 1, 1)
-
-    def test_partitions_remainder(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            g = random_connected_graph(rng.randint(2, 12), 0.3, rng.randint(0, 999))
-            removed = rng.randrange(g.vertex_count)
-            rest = [v for v in range(g.vertex_count) if v != removed]
-            parts = []
-            while rest:
-                comp = component_excluding(g, rest[0], removed)
-                parts.append(comp)
-                rest = [v for v in rest if v not in comp]
-            union = set().union(*parts)
-            assert union == set(range(g.vertex_count)) - {removed}
-            assert sum(len(p) for p in parts) == len(union)
 
 
 class TestRelabel:
@@ -225,6 +266,21 @@ class TestSerialization:
     def test_missing_count(self):
         with pytest.raises(GraphFormatError):
             deserialize("# nothing\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("n 2\ne 0 \u00b2\n", 2),  # a superscript digit passes str.isdigit()
+            ("n \u00b2\n", 1),
+            ("# long\nn " + "9" * 5000 + "\n", 2),  # beyond int()'s digit limit
+            ("n 2\ne 0 " + "1" * 5000 + "\n", 2),
+        ],
+        ids=["superscript-endpoint", "superscript-count", "long-count", "long-endpoint"],
+    )
+    def test_bad_numerals_carry_line_numbers(self, text, lineno):
+        with pytest.raises(GraphFormatError) as exc:
+            deserialize(text)
+        assert exc.value.line == lineno
 
 
 class TestDotExport:

@@ -11,7 +11,6 @@ from ordsearch.ordinal import (
     Ordinal,
     OrdinalParseError,
     cofinality,
-    compare,
     fundamental_sequence,
     omega_power,
     omega_quot_rem,
@@ -44,13 +43,16 @@ def pool_below_omega_cubed(rng: random.Random, size: int = 40) -> list[Ordinal]:
 
 class TestCompare:
     def test_omega_above_finite(self):
-        assert compare(w, fin(3)) == 1
+        assert w > fin(3)
+        assert not w <= fin(3)
 
     def test_equal(self):
-        assert compare(o("w*2+1"), o("w*2+1")) == 0
+        a, b = o("w*2+1"), o("w*2+1")
+        assert a == b and a <= b and a >= b
+        assert not (a < b or a > b or a != b)
 
     def test_leading_exponent_dominates(self):
-        assert compare(o("w^2"), o("w*5+7")) == 1
+        assert o("w^2") > o("w*5+7")
 
     def test_total_order_consistency(self):
         rng = random.Random(7)
@@ -58,11 +60,11 @@ class TestCompare:
         vals = [sample_ordinal(rng, pool) for _ in range(60)]
         for a in vals:
             for b in vals:
-                c = compare(a, b)
-                assert c == -compare(b, a)
-                assert (c == 0) == (a == b)
-                if c == -1:
-                    assert a < b and not b < a
+                # Exactly one of <, ==, > holds, and the operators agree.
+                assert [a < b, a == b, a > b].count(True) == 1
+                assert (a < b) == (b > a) == (not a >= b)
+                assert (a <= b) == (b >= a) == (not a > b)
+                assert (a != b) == (not a == b)
 
 
 class TestAdd:
@@ -328,6 +330,23 @@ class TestText:
         with pytest.raises(OrdinalParseError) as exc:
             Ordinal.parse("w^2+w^3")
         assert exc.value.position == 4
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("w^\u00b2", 2),  # a superscript digit passes str.isdigit()
+            ("w*\u00b2", 2),
+            ("\u00b2", 0),
+            ("w^3*" + "9" * 5000, 4),  # beyond int()'s digit limit
+            ("1" * 5000, 0),
+        ],
+        ids=["superscript-exponent", "superscript-coefficient", "superscript-term",
+             "long-coefficient", "long-term"],
+    )
+    def test_bad_numerals_carry_position(self, text, position):
+        with pytest.raises(OrdinalParseError) as exc:
+            Ordinal.parse(text)
+        assert exc.value.position == position
 
 
 class TestConstruction:

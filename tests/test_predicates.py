@@ -13,7 +13,6 @@ from ordsearch.graph import (
 from ordsearch.predicates import (
     breadth_first_triple_condition,
     closure_samples,
-    colex_compare_inverse,
     colex_inverse_key,
     enumerate_traversals,
     has_decreasing_neighbors,
@@ -21,13 +20,20 @@ from ordsearch.predicates import (
     is_depth_first,
     is_traversal,
     level_decomposition,
-    lex_compare,
     verify_colex_max,
     verify_lex_min,
     verify_quotient_stability,
     verify_subset_stability,
 )
-from ordsearch.search import bfs_search, deterministic_search, least_neighbor_map
+from ordsearch import predicates
+from ordsearch.search import (
+    BfsTrace,
+    SearchTrace,
+    alt_search,
+    bfs_search,
+    deterministic_search,
+    least_neighbor_map,
+)
 from ordsearch.witness import build_bfs_tree_witness
 
 
@@ -158,20 +164,10 @@ class TestDepthFirstPredicate:
 
 
 class TestComparators:
-    def test_lex(self):
-        assert lex_compare((0, 1, 2), (0, 2, 1)) == -1
-        assert lex_compare((0, 1, 2), (0, 1, 2)) == 0
-        assert lex_compare((0, 1, 5, 2, 3, 4), (0, 1, 5, 2, 4, 3)) == -1
-
-    def test_lex_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lex_compare((0, 1), (0, 1, 2))
-
     def test_colex_inverse_path_orders(self):
         # keys read positions of vertex 2, then 1, then 0
-        assert colex_compare_inverse((0, 1, 2), (1, 0, 2)) == 1
-        assert colex_compare_inverse((0, 1, 2), (0, 1, 2)) == 0
-        assert colex_compare_inverse((1, 2, 0), (2, 1, 0)) == 1
+        assert colex_inverse_key((0, 1, 2)) > colex_inverse_key((1, 0, 2))
+        assert colex_inverse_key((1, 2, 0)) > colex_inverse_key((2, 1, 0))
 
     def test_colex_key_explicit(self):
         assert colex_inverse_key((0, 1, 2)) == (2, 1, 0)
@@ -226,22 +222,57 @@ class TestEnumerateTraversals:
         with pytest.raises(DisconnectedGraphError):
             enumerate_traversals(OrderedGraph(2), "all")
 
+    def test_disconnected_errors_name_the_least_unreached_vertex(self):
+        # From 0 only {0, 3} is reachable; every entry point reports vertex 1.
+        g = OrderedGraph(5, ((0, 3), (1, 2), (2, 4)))
+        for call in (
+            lambda: deterministic_search(g),
+            lambda: bfs_search(g),
+            lambda: alt_search(g),
+            lambda: enumerate_traversals(g),
+            lambda: closure_samples(g, 0, 3),
+        ):
+            with pytest.raises(DisconnectedGraphError) as exc:
+                call()
+            assert (exc.value.vertex, exc.value.start) == (1, 0)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             enumerate_traversals(path_graph(2), "widest_first")
 
 
+LEX_MIN_PASS = [("lex-min-traversal", True), ("lex-min-breadth-first", True)]
+COLEX_MAX_PASS = [("colex-max-inverse", True)]
+
+
 class TestExtremality:
+    # The verifiers return mappings, which are truthy whenever nonempty, so
+    # every verdict and its name are compared, in CLI order.
     def test_complete_graph(self):
-        assert verify_lex_min(complete_graph(3))
-        assert verify_colex_max(complete_graph(3))
+        assert list(verify_lex_min(complete_graph(3)).items()) == LEX_MIN_PASS
+        assert list(verify_colex_max(complete_graph(3)).items()) == COLEX_MAX_PASS
 
     def test_six_cycle_tail(self, six_cycle_tail):
-        assert verify_lex_min(six_cycle_tail)
-        assert verify_colex_max(six_cycle_tail)
+        assert list(verify_lex_min(six_cycle_tail).items()) == LEX_MIN_PASS
+        assert list(verify_colex_max(six_cycle_tail).items()) == COLEX_MAX_PASS
 
     def test_path_from_zero_unique(self):
-        assert verify_colex_max(path_graph(3))
+        assert list(verify_colex_max(path_graph(3)).items()) == COLEX_MAX_PASS
+
+    def test_each_verdict_judged_on_its_own(self, monkeypatch, six_cycle_tail):
+        # A breadth-first kernel gone wrong fails its own verdict only; a
+        # search kernel gone wrong fails both verdicts that read its order.
+        wrong = BfsTrace((0, 5, 1, 2, 3, 4), ())
+        monkeypatch.setattr(predicates, "bfs_search", lambda g, start: wrong)
+        assert verify_lex_min(six_cycle_tail) == {
+            "lex-min-traversal": True,
+            "lex-min-breadth-first": False,
+        }
+        monkeypatch.setattr(
+            predicates, "deterministic_search", lambda g, start: SearchTrace(wrong.visit_order, g)
+        )
+        assert verify_lex_min(six_cycle_tail)["lex-min-traversal"] is False
+        assert verify_colex_max(six_cycle_tail) == {"colex-max-inverse": False}
 
     def test_colex_max_beats_all_starts_on_path(self):
         # among all four traversals of the path, not just those from 0
@@ -252,8 +283,8 @@ class TestExtremality:
     def test_exhaustive_small(self):
         for n in range(1, 5):
             for g in all_connected_graphs(n):
-                assert verify_lex_min(g)
-                assert verify_colex_max(g)
+                assert list(verify_lex_min(g).items()) == LEX_MIN_PASS
+                assert list(verify_colex_max(g).items()) == COLEX_MAX_PASS
 
 
 class TestClosureSamples:
@@ -319,6 +350,13 @@ class TestQuotientStability:
     def test_rejects_non_partition(self, six_cycle_tail):
         with pytest.raises(ValueError, match="partition"):
             verify_quotient_stability(six_cycle_tail, [{0, 1}, {1, 2, 3, 4, 5}])
+
+    @pytest.mark.parametrize("parts", [[{0}, {1, 2}, {3}], [{0}, {1}, {2, 3}]])
+    def test_rejects_part_connected_only_through_another(self, parts):
+        # On a star the leaves 1, 2, 3 are intervals of (0, 1, 2, 3) but
+        # meet only at the centre, which lies outside the part.
+        with pytest.raises(ValueError, match="connected"):
+            verify_quotient_stability(star_graph(4), parts)
 
 
 class TestLevelDecomposition:

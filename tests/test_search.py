@@ -49,7 +49,7 @@ def assert_matches_brute_force(g, start):
     order, frontiers = brute_force_stage_simulation(g, start)
     trace = deterministic_search(g, start)
     assert trace.visit_order == order
-    assert trace.stages == tuple(ChoiceStage(v, f) for v, f in zip(order, frontiers))
+    assert list(trace.stages()) == [ChoiceStage(v, f) for v, f in zip(order, frontiers)]
     assert trace.stage_lines() == [
         f"stage {i}: pick {v} from {{{' '.join(map(str, f))}}}"
         for i, (v, f) in enumerate(zip(order, frontiers))
@@ -104,12 +104,13 @@ class TestDeterministicSearch:
 
     def test_trace_records_choice_per_stage(self, six_cycle_tail):
         trace = deterministic_search(six_cycle_tail)
-        assert len(trace.stages) == 6
-        for i, stage in enumerate(trace.stages):
+        stages = list(trace.stages())
+        assert len(stages) == 6
+        for i, stage in enumerate(stages):
             assert stage.chosen == trace.visit_order[i]
             assert stage.chosen in stage.frontier
             assert stage.chosen == min(stage.frontier)
-        assert trace.stages[1].frontier == (1, 5)
+        assert stages[1].frontier == (1, 5)
 
     def test_stage_lines(self):
         trace = deterministic_search(path_graph(2))

@@ -65,11 +65,11 @@ class TestVerifyWitness:
     def test_hand_checked_build(self):
         verdict = verify_witness(build_zeta_witness(1, 1, 2))
         assert verdict.all_pass()
-        assert verdict.lines() == [
-            "predicted-traversal: PASS",
-            "block-intervals: PASS",
-            "quotient-stability: PASS",
-            "zeta-profile: PASS",
+        assert list(verdict.by_name().items()) == [
+            ("predicted-traversal", True),
+            ("block-intervals", True),
+            ("quotient-stability", True),
+            ("zeta-profile", True),
         ]
 
     def test_finite_bases_pass(self):
