@@ -17,6 +17,7 @@ from .graph import (
     DisconnectedGraphError,
     GraphFormatError,
     OrderedGraph,
+    Traversal,
     deserialize,
     dot_export,
     random_connected_graph,
@@ -79,17 +80,7 @@ class _Verdicts:
 
 def _cmd_search(args) -> int:
     g = _read_graph(args.graph)
-    trace = deterministic_search(g, args.start)
-    print(_fmt(trace.visit_order))
-    if args.trace:
-        for line in trace.stage_lines():
-            print(line)
-    return 0
-
-
-def _cmd_bfs(args) -> int:
-    g = _read_graph(args.graph)
-    trace = bfs_search(g, args.start)
+    trace = args.kernel(g, args.start)
     print(_fmt(trace.visit_order))
     if args.trace:
         for line in trace.stage_lines():
@@ -147,6 +138,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _bfs_after_search(tau: Traversal, relabeled: OrderedGraph) -> Traversal:
+    """Breadth-first order of a graph relabeled by its search order tau,
+    mapped back to the graph's own vertex numbers."""
+    return tuple(tau[v] for v in bfs_search(relabeled).visit_order)
+
+
 def _cmd_verify(args) -> int:
     if args.probes < 0:
         raise ValueError("--probes must be >= 0")
@@ -157,29 +154,27 @@ def _cmd_verify(args) -> int:
     elif args.suite == "colexmax":
         verdicts.emit_all(verify_colex_max(g))
     elif args.suite == "stability":
-        sets = closure_samples(g, args.seed, 12)
+        run = deterministic_search(g)
+        sets = closure_samples(run, args.seed, 12)
         verdicts.emit(
             "subset-stability",
-            all(verify_subset_stability(g, w) for w in sets),
+            all(verify_subset_stability(run, w) for w in sets),
             f"{len(sets)} closed sets",
         )
         singletons = [{v} for v in range(g.vertex_count)]
-        verdicts.emit("quotient-stability-singletons", verify_quotient_stability(g, singletons))
-        verdicts.emit(
-            "quotient-stability-whole",
-            verify_quotient_stability(g, [set(range(g.vertex_count))]),
-        )
+        verdicts.emit("quotient-stability-singletons", verify_quotient_stability(run, singletons))
+        whole = [set(range(g.vertex_count))]
+        verdicts.emit("quotient-stability-whole", verify_quotient_stability(run, whole))
     else:
         identity = tuple(range(g.vertex_count))
         tau = deterministic_search(g).visit_order
         beta = bfs_search(g).visit_order
+        relabeled = relabel(g, tau)
         if is_traversal(g, identity):
             verdicts.emit("search-fixes-traversals", tau == identity)
         else:
             verdicts.emit("search-fixes-traversals", True, "vacuous: input order is not a traversal")
-        verdicts.emit(
-            "idempotent", deterministic_search(relabel(g, tau)).visit_order == identity
-        )
+        verdicts.emit("idempotent", deterministic_search(relabeled).visit_order == identity)
         verdicts.emit(
             "bfs-fixed-by-search",
             deterministic_search(relabel(g, beta)).visit_order == identity,
@@ -191,7 +186,7 @@ def _cmd_verify(args) -> int:
         verdicts.emit(
             "bfs-tree-retraversal", bfs_search(traversal_tree(g, beta)).visit_order == beta
         )
-        after = tuple(tau[v] for v in bfs_search(relabel(g, tau)).visit_order)
+        after = _bfs_after_search(tau, relabeled)
         print(f"note: bfs-after-search equals bfs on this input: {'yes' if after == beta else 'no'}")
         if args.probes:
             rng = random.Random(args.seed)
@@ -200,10 +195,8 @@ def _cmd_verify(args) -> int:
                 perm = list(range(g.vertex_count))
                 rng.shuffle(perm)
                 h = relabel(g, perm)
-                beta_h = bfs_search(h).visit_order
                 tau_h = deterministic_search(h).visit_order
-                after_h = tuple(tau_h[v] for v in bfs_search(relabel(h, tau_h)).visit_order)
-                if after_h != beta_h:
+                if _bfs_after_search(tau_h, relabel(h, tau_h)) != bfs_search(h).visit_order:
                     differed += 1
             print(
                 f"note: bfs-after-search differed from bfs on {differed} of "
@@ -257,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="print one line per stage")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, kernel=deterministic_search)
 
     p = sub.add_parser("bfs", help="breadth-first traversal")
     _add_graph_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_bfs)
+    p.set_defaults(func=_cmd_search, kernel=bfs_search)
 
     p = sub.add_parser("alt", help="divide-and-conquer traversal")
     _add_graph_arg(p)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -33,7 +33,7 @@ from .graph import (
     is_permutation,
     reach,
 )
-from .search import bfs_search, deterministic_search, least_neighbor_map
+from .search import SearchTrace, bfs_search, deterministic_search, least_neighbor_map
 
 KINDS = ("all", "breadth_first", "depth_first")
 
@@ -278,20 +278,28 @@ def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
     return {"colex-max-inverse": tau == max(candidates.orders, key=colex_inverse_key)}
 
 
-def closure_samples(g: OrderedGraph, seed: int, count: int) -> list[frozenset[int]]:
-    """Vertex sets closed under the search traversal's least-neighbor map,
-    obtained by closing random seed sets.  At most ``count`` distinct sets
-    are returned (small graphs may admit fewer)."""
-    tau = deterministic_search(g, 0).visit_order
-    parent = least_neighbor_map(g, tau).parent
+def _run_facts(run: SearchTrace) -> tuple[Traversal, list[int], Mapping[int, int]]:
+    """The run's order, the positions in it and its least-neighbor map; the
+    stability verdicts are stated for searches from vertex 0 only."""
+    tau = run.visit_order
+    if tau[0] != 0:
+        raise ValueError(f"stability verdicts need a search from vertex 0, not from {tau[0]}")
+    return tau, invert_permutation(tau), least_neighbor_map(run.graph, tau).parent
+
+
+def closure_samples(run: SearchTrace, seed: int, count: int) -> list[frozenset[int]]:
+    """Vertex sets closed under the run's least-neighbor map, obtained by
+    closing random seed sets.  At most ``count`` distinct sets are returned
+    (small graphs may admit fewer)."""
+    _, _, parent = _run_facts(run)
     rng = random.Random(seed)
     out: list[frozenset[int]] = []
     seen = set()
     for _ in range(20 * count):
         if len(out) == count:
             break
-        size = rng.randint(1, min(3, g.vertex_count))
-        pending = set(rng.sample(range(g.vertex_count), size))
+        size = rng.randint(1, min(3, run.graph.vertex_count))
+        pending = set(rng.sample(range(run.graph.vertex_count), size))
         closed: set[int] = set()
         while pending:
             v = pending.pop()
@@ -306,37 +314,34 @@ def closure_samples(g: OrderedGraph, seed: int, count: int) -> list[frozenset[in
     return out
 
 
-def verify_subset_stability(g: OrderedGraph, w: Iterable[int]) -> bool:
+def verify_subset_stability(run: SearchTrace, w: Iterable[int]) -> bool:
     """Searching the subgraph induced by a parent-closed set from its first
-    element must list the set in the same relative order as searching the
-    whole graph."""
+    element must list the set in the same relative order as the run lists
+    it."""
     w = set(w)
     if not w:
         raise ValueError("vertex set must be nonempty")
-    tau = deterministic_search(g, 0).visit_order
-    positions = invert_permutation(tau)
-    parent = least_neighbor_map(g, tau).parent
+    _, positions, parent = _run_facts(run)
     w_sorted = sorted(w, key=positions.__getitem__)
     w0 = w_sorted[0]
     for v in w:
         if v != w0 and parent[v] not in w:
             raise ValueError(f"set is not closed under the least-neighbor map at vertex {v}")
-    sub, kept = induced_subgraph(g, w)
+    sub, kept = induced_subgraph(run.graph, w)
     sub_order = deterministic_search(sub, kept.index(w0)).visit_order
     return [kept[i] for i in sub_order] == w_sorted
 
 
-def verify_quotient_stability(g: OrderedGraph, parts: Sequence[Iterable[int]]) -> bool:
+def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) -> bool:
     """Collapsing an interval partition (each part connected and parent-closed
     except at its first element) and searching the quotient must order the
-    parts as the original search ordered their first elements."""
+    parts as the run ordered their first elements."""
+    g = run.graph
     part_sets = [set(p) for p in parts]
     flat = [v for p in part_sets for v in p]
     if sorted(flat) != list(range(g.vertex_count)):
         raise ValueError("parts do not partition the vertex set")
-    tau = deterministic_search(g, 0).visit_order
-    positions = invert_permutation(tau)
-    parent = least_neighbor_map(g, tau).parent
+    tau, positions, parent = _run_facts(run)
     anchors = []
     outside = bytearray(b"\x01") * g.vertex_count
     for i, part in enumerate(part_sets):

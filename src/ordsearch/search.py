@@ -45,8 +45,8 @@ class ChoiceStage:
 @dataclass(frozen=True)
 class SearchTrace:
     """Deterministic search run.  Only the visit order is stored; the graph
-    is kept (outside ``==`` and ``repr``) so that the per-stage frontiers can
-    be derived on demand by replaying the order.
+    is kept (outside ``==`` and ``repr``) so that the per-stage frontiers and
+    the least-neighbor map can be derived from the run on demand.
 
     Stage i of ``stages()`` picks visit_order[i]; the stage-0 frontier is
     the start vertex alone.  Each call of ``stages()`` or ``stage_lines()``

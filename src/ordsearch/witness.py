@@ -220,7 +220,8 @@ def _embedding(m: int, n: int, k: int) -> tuple[int, ...]:
 
 def verify_witness(build: WitnessBuild) -> WitnessVerdict:
     """Check the build's certificate against an actual search run."""
-    actual = deterministic_search(build.graph, 0).visit_order
+    run = deterministic_search(build.graph, 0)
+    actual = run.visit_order
     predicted_ok = actual == build.predicted
 
     positions = invert_permutation(actual)
@@ -237,9 +238,7 @@ def verify_witness(build: WitnessBuild) -> WitnessVerdict:
         blocks_ok = False
 
     try:
-        quotient_ok = verify_quotient_stability(
-            build.graph, [set(b.members) for b in build.blocks]
-        )
+        quotient_ok = verify_quotient_stability(run, [set(b.members) for b in build.blocks])
     except ValueError:
         quotient_ok = False
 
@@ -285,7 +284,7 @@ def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
     return OrderedGraph(total, edges)
 
 
-def format_manifest(build: WitnessBuild, verdict: WitnessVerdict | None = None) -> str:
+def format_manifest(build: WitnessBuild) -> str:
     """Printable witness certificate: parameters, the graph, the predicted
     traversal and one line per block."""
     lines = [

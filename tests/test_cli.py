@@ -1,9 +1,10 @@
 import io
 import time
+from collections import Counter
 
 import pytest
 
-from ordsearch import acceptance, cli
+from ordsearch import acceptance, cli, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import deserialize, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
@@ -197,6 +198,25 @@ class TestVerify:
         )
         code, out, _ = run(capsys, "verify", six_file, "--suite", "lexmin")
         assert (code, out) == (1, "lex-min-traversal: PASS\nlex-min-breadth-first: FAIL\n")
+
+
+def test_stability_and_witness_verdicts_search_their_graph_once(capsys, monkeypatch, six_file):
+    # Every searched graph stays in the list, so no two share an id.
+    searched = []
+
+    def counting(g, start=0):
+        searched.append(g)
+        return search.deterministic_search(g, start)
+
+    for module in (cli, predicates, witness):
+        monkeypatch.setattr(module, "deterministic_search", counting)
+    code, out, _ = run(capsys, "verify", six_file, "--suite", "stability")
+    assert (code, "[12 closed sets]" in out) == (0, True)
+    # The request's first search is of its input.
+    assert Counter(map(id, searched))[id(searched[0])] == 1
+    build = build_zeta_witness(2, 1, 3)
+    assert witness.verify_witness(build).all_pass()
+    assert Counter(map(id, searched))[id(build.graph)] == 1
 
 
 class TestWitness:

@@ -230,7 +230,6 @@ class TestEnumerateTraversals:
             lambda: bfs_search(g),
             lambda: alt_search(g),
             lambda: enumerate_traversals(g),
-            lambda: closure_samples(g, 0, 3),
         ):
             with pytest.raises(DisconnectedGraphError) as exc:
                 call()
@@ -303,60 +302,77 @@ class TestClosureSamples:
         rng = random.Random(49)
         for _ in range(20):
             g = random_connected_graph(rng.randint(1, 12), 0.4, rng.randint(0, 9999))
-            for w in closure_samples(g, rng.randint(0, 999), 8):
-                assert verify_subset_stability(g, w)
+            run = deterministic_search(g)
+            for w in closure_samples(run, rng.randint(0, 999), 8):
+                assert verify_subset_stability(run, w)
 
     def test_deterministic(self):
-        g = random_connected_graph(10, 0.4, 7)
-        assert closure_samples(g, 5, 6) == closure_samples(g, 5, 6)
+        run = deterministic_search(random_connected_graph(10, 0.4, 7))
+        assert closure_samples(run, 5, 6) == closure_samples(run, 5, 6)
+
+
+@pytest.fixture
+def six_run(six_cycle_tail):
+    return deterministic_search(six_cycle_tail)
 
 
 class TestSubsetStability:
-    def test_whole_vertex_set(self, six_cycle_tail):
-        assert verify_subset_stability(six_cycle_tail, range(6))
+    def test_whole_vertex_set(self, six_run):
+        assert verify_subset_stability(six_run, range(6))
 
-    def test_closure_of_four(self, six_cycle_tail):
-        assert verify_subset_stability(six_cycle_tail, {0, 1, 2, 4})
+    def test_closure_of_four(self, six_run):
+        assert verify_subset_stability(six_run, {0, 1, 2, 4})
 
-    def test_reports_violating_vertex(self, six_cycle_tail):
+    def test_reports_violating_vertex(self, six_run):
         # {0, 1, 4} misses 4's parent 2
         with pytest.raises(ValueError, match="vertex 4"):
-            verify_subset_stability(six_cycle_tail, {0, 1, 4})
+            verify_subset_stability(six_run, {0, 1, 4})
 
     def test_random_closed_sets(self):
         rng = random.Random(51)
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 12), 0.35, rng.randint(0, 9999))
-            for w in closure_samples(g, rng.randint(0, 999), 5):
-                assert verify_subset_stability(g, w)
+            run = deterministic_search(g)
+            for w in closure_samples(run, rng.randint(0, 999), 5):
+                assert verify_subset_stability(run, w)
 
 
 class TestQuotientStability:
-    def test_singleton_parts(self, six_cycle_tail):
-        parts = [{v} for v in range(6)]
-        assert verify_quotient_stability(six_cycle_tail, parts)
+    def test_singleton_parts(self, six_run):
+        assert verify_quotient_stability(six_run, [{v} for v in range(6)])
 
-    def test_whole_graph_single_part(self, six_cycle_tail):
-        assert verify_quotient_stability(six_cycle_tail, [set(range(6))])
+    def test_whole_graph_single_part(self, six_run):
+        assert verify_quotient_stability(six_run, [set(range(6))])
 
-    def test_traversal_split(self, six_cycle_tail):
+    def test_traversal_split(self, six_run):
         # tau = (0,1,2,4,5,3); both halves are intervals, connected, closed
-        assert verify_quotient_stability(six_cycle_tail, [{0, 1, 2, 4}, {5, 3}])
+        assert verify_quotient_stability(six_run, [{0, 1, 2, 4}, {5, 3}])
 
-    def test_rejects_non_interval(self, six_cycle_tail):
+    def test_rejects_non_interval(self, six_run):
         with pytest.raises(ValueError, match="interval"):
-            verify_quotient_stability(six_cycle_tail, [{0, 1, 3}, {2, 4, 5}])
+            verify_quotient_stability(six_run, [{0, 1, 3}, {2, 4, 5}])
 
-    def test_rejects_non_partition(self, six_cycle_tail):
+    def test_rejects_non_partition(self, six_run):
         with pytest.raises(ValueError, match="partition"):
-            verify_quotient_stability(six_cycle_tail, [{0, 1}, {1, 2, 3, 4, 5}])
+            verify_quotient_stability(six_run, [{0, 1}, {1, 2, 3, 4, 5}])
 
     @pytest.mark.parametrize("parts", [[{0}, {1, 2}, {3}], [{0}, {1}, {2, 3}]])
     def test_rejects_part_connected_only_through_another(self, parts):
         # On a star the leaves 1, 2, 3 are intervals of (0, 1, 2, 3) but
         # meet only at the centre, which lies outside the part.
         with pytest.raises(ValueError, match="connected"):
-            verify_quotient_stability(star_graph(4), parts)
+            verify_quotient_stability(deterministic_search(star_graph(4)), parts)
+
+
+def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
+    run = deterministic_search(six_cycle_tail, 1)
+    for verdict in (
+        lambda: closure_samples(run, 0, 3),
+        lambda: verify_subset_stability(run, range(6)),
+        lambda: verify_quotient_stability(run, [set(range(6))]),
+    ):
+        with pytest.raises(ValueError, match="from vertex 0, not from 1"):
+            verdict()
 
 
 class TestLevelDecomposition:

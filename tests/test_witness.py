@@ -215,4 +215,5 @@ class TestManifest:
     def test_quotient_on_blocks(self):
         for m, n, k in [(1, 2, 4), (2, 0, 5), (2, 2, 3)]:
             b = build_zeta_witness(m, n, k)
-            assert verify_quotient_stability(b.graph, [set(blk.members) for blk in b.blocks])
+            parts = [set(blk.members) for blk in b.blocks]
+            assert verify_quotient_stability(deterministic_search(b.graph), parts)
