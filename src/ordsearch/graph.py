@@ -22,6 +22,11 @@ from typing import Iterable, Sequence
 Traversal = tuple[int, ...]
 """A sequence listing every vertex exactly once, read as a vertex order."""
 
+MAX_VERTICES = 1_000_000
+"""The largest vertex count ``deserialize`` accepts.  Searches allocate per
+vertex, so a header alone must not be able to ask for gigabytes; the bound
+lies five times above the largest graphs the package is measured on."""
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text; ``line`` is the 1-based offending line number."""
@@ -230,6 +235,10 @@ def deserialize(text: str) -> OrderedGraph:
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise GraphFormatError("expected 'n <count>'", lineno)
             vertex_count = _numeral(fields[1], lineno)
+            if vertex_count > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {vertex_count} exceeds the limit of {MAX_VERTICES}", lineno
+                )
         elif fields[0] == "e":
             if vertex_count is None:
                 raise GraphFormatError("edge before vertex count line", lineno)

@@ -278,13 +278,14 @@ def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
     return {"colex-max-inverse": tau == max(candidates.orders, key=colex_inverse_key)}
 
 
-def _run_facts(run: SearchTrace) -> tuple[Traversal, list[int], Mapping[int, int]]:
-    """The run's order, the positions in it and its least-neighbor map; the
-    stability verdicts are stated for searches from vertex 0 only."""
+def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], Mapping[int, int]]:
+    """The run's order, the positions in it and its least-neighbor map (the
+    run derives the last two once, for every verdict on it); the stability
+    verdicts are stated for searches from vertex 0 only."""
     tau = run.visit_order
     if tau[0] != 0:
         raise ValueError(f"stability verdicts need a search from vertex 0, not from {tau[0]}")
-    return tau, invert_permutation(tau), least_neighbor_map(run.graph, tau).parent
+    return tau, run.positions, run.least_neighbors.parent
 
 
 def closure_samples(run: SearchTrace, seed: int, count: int) -> list[frozenset[int]]:

@@ -19,9 +19,11 @@ re-running the matching search on that tree reproduces the traversal.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .graph import (
@@ -51,37 +53,58 @@ class SearchTrace:
     Stage i of ``stages()`` picks visit_order[i]; the stage-0 frontier is
     the start vertex alone.  Each call of ``stages()`` or ``stage_lines()``
     replays the order, in time proportional to the total size of the
-    frontiers.
+    frontiers.  The replay keeps each frontier vertex's decimal name beside
+    it, so a trace line is one join over strings that already exist and the
+    whole trace costs about one copy of its text.
+
+    ``positions`` and ``least_neighbors`` are derived on first use and kept
+    (outside ``==`` and ``repr``), so every verdict on one run shares them.
     """
 
     visit_order: Traversal
     graph: OrderedGraph = field(compare=False, repr=False)
 
-    def _frontiers(self) -> Iterator[list[int]]:
-        """The sorted frontier before each pick; the same list is yielded
-        every stage, so copy it to keep it."""
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """positions[v] = index of v in the visit order."""
+        return invert_permutation(self.visit_order)
+
+    @cached_property
+    def least_neighbors(self) -> LeastNeighborMap:
+        """The least-neighbor map of the visit order."""
+        return least_neighbor_map(self.graph, self.visit_order)
+
+    def _frontiers(self) -> Iterator[tuple[list[int], list[str]]]:
+        """The sorted frontier before each pick and its vertices' names, in
+        the same order; the same two lists are yielded every stage, so copy
+        them to keep them."""
         adjacency = self.graph.adjacency
+        names = list(map(str, range(self.graph.vertex_count)))
         seen = bytearray(self.graph.vertex_count)
         start = self.visit_order[0]
         seen[start] = 1
         frontier = [start]
+        frontier_names = [names[start]]
         for v in self.visit_order:
-            yield frontier
+            yield frontier, frontier_names
             del frontier[0]
+            del frontier_names[0]
             for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = 1
-                    insort(frontier, w)
+                    i = bisect_left(frontier, w)
+                    frontier.insert(i, w)
+                    frontier_names.insert(i, names[w])
 
     def stages(self) -> Iterator[ChoiceStage]:
-        for v, frontier in zip(self.visit_order, self._frontiers()):
+        for v, (frontier, _) in zip(self.visit_order, self._frontiers()):
             yield ChoiceStage(v, tuple(frontier))
 
     def stage_lines(self) -> list[str]:
-        names = list(map(str, range(self.graph.vertex_count)))
+        # The pick is the least frontier vertex, so its name comes first.
         return [
-            f"stage {i}: pick {names[v]} from {{{' '.join(map(names.__getitem__, frontier))}}}"
-            for i, (v, frontier) in enumerate(zip(self.visit_order, self._frontiers()))
+            f"stage {i}: pick {names[0]} from {{{' '.join(names)}}}"
+            for i, (_, names) in enumerate(self._frontiers())
         ]
 
 
@@ -100,6 +123,11 @@ class BfsTrace:
     """Breadth-first run.  The queue only ever grows at the end, so each
     stage's queue is a prefix of the final one; storing the visit order (the
     final queue) plus the queue length at each stage captures every stage.
+
+    ``stage_lines()`` prints the sum of the queue lengths in entries, which
+    is quadratic in n in the worst case (a star).  It names the vertices and
+    joins them once, and slices each stage's queue from that one string, so
+    the trace costs about one copy of its text.
     """
 
     visit_order: Traversal
@@ -110,9 +138,14 @@ class BfsTrace:
             yield BfsStage(alpha, self.visit_order[:qlen], self.visit_order[alpha])
 
     def stage_lines(self) -> list[str]:
+        names = list(map(str, self.visit_order))
+        joined = " ".join(names)
+        # ends[k] is the offset just past the separator after the k-th name,
+        # so the first k names, space separated, are joined[:ends[k] - 1].
+        ends = list(accumulate((len(name) + 1 for name in names), initial=0))
         return [
-            f"stage {s.prefix_len}: B={s.prefix_len} Q=({' '.join(map(str, s.queue))}) q={s.q}"
-            for s in self.stages()
+            f"stage {alpha}: B={alpha} Q=({joined[:ends[qlen] - 1]}) q={names[alpha]}"
+            for alpha, qlen in enumerate(self.queue_lengths)
         ]
 
 
@@ -245,16 +278,21 @@ def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> LeastNeighborMa
     """
     if not is_permutation(order, g.vertex_count):
         raise ValueError("order must be a permutation of the vertices")
-    positions = invert_permutation(order)
-    parent = {}
-    for v in range(g.vertex_count):
-        if v == order[0]:
-            continue
-        ns = g.adjacency[v]
-        if not ns:
-            raise ValueError(f"vertex {v} is isolated and not first in the order")
-        parent[v] = min(ns, key=positions.__getitem__)
-    return LeastNeighborMap(order[0], parent)
+    adjacency = g.adjacency
+    root = order[0]
+    # Walking the order, the first vertex seen next to w is w's order-least
+    # neighbor; the root is pre-set so it gets no parent.
+    first_seen: list[int | None] = [None] * g.vertex_count
+    first_seen[root] = root
+    for u in order:
+        for w in adjacency[u]:
+            if first_seen[w] is None:
+                first_seen[w] = u
+    if None in first_seen:
+        raise ValueError(
+            f"vertex {first_seen.index(None)} is isolated and not first in the order"
+        )
+    return LeastNeighborMap(root, {v: p for v, p in enumerate(first_seen) if v != root})
 
 
 def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import OrderedGraph, Traversal, invert_permutation, serialize
+from .graph import OrderedGraph, Traversal, serialize
 from .ordinal import OMEGA, Ordinal, zeta
 from .predicates import verify_quotient_stability
 from .search import deterministic_search
@@ -224,7 +224,7 @@ def verify_witness(build: WitnessBuild) -> WitnessVerdict:
     actual = run.visit_order
     predicted_ok = actual == build.predicted
 
-    positions = invert_permutation(actual)
+    positions = run.positions
     blocks_ok = True
     covered: list[int] = []
     for block in build.blocks:

@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -97,6 +98,20 @@ class TestTraversalCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 2: ")
+
+    def test_huge_vertex_count_is_input_error(self, capsys, tmp_path):
+        # Building this graph's per-vertex tables would take gigabytes.
+        path = tmp_path / "g"
+        path.write_text("# header only\nn 300000000\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "search", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: vertex count 300000000 exceeds the limit")
+        assert peak < 4 * 2**20
 
 
 class TestTree:
@@ -217,6 +232,21 @@ def test_stability_and_witness_verdicts_search_their_graph_once(capsys, monkeypa
     build = build_zeta_witness(2, 1, 3)
     assert witness.verify_witness(build).all_pass()
     assert Counter(map(id, searched))[id(build.graph)] == 1
+
+
+def test_stability_verdicts_derive_the_least_neighbor_map_once(capsys, monkeypatch, six_file):
+    calls = []
+    original = search.least_neighbor_map
+
+    def counting(g, order):
+        calls.append(order)
+        return original(g, order)
+
+    for module in (search, predicates):
+        monkeypatch.setattr(module, "least_neighbor_map", counting)
+    code, out, _ = run(capsys, "verify", six_file, "--suite", "stability")
+    assert (code, "[12 closed sets]" in out) == (0, True)
+    assert calls == [(0, 1, 2, 4, 5, 3)]
 
 
 class TestWitness:

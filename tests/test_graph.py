@@ -4,6 +4,7 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph
 from ordsearch.graph import (
+    MAX_VERTICES,
     GraphFormatError,
     OrderedGraph,
     deserialize,
@@ -281,6 +282,12 @@ class TestSerialization:
         with pytest.raises(GraphFormatError) as exc:
             deserialize(text)
         assert exc.value.line == lineno
+
+    def test_vertex_count_envelope(self):
+        assert deserialize(f"n {MAX_VERTICES}\n").vertex_count == MAX_VERTICES
+        with pytest.raises(GraphFormatError) as exc:
+            deserialize(f"# one too many\nn {MAX_VERTICES + 1}\n")
+        assert exc.value.line == 2
 
 
 class TestDotExport:

@@ -31,18 +31,57 @@ def brute_force_stage_simulation(g, start):
     visit order and every stage's frontier (the start alone at stage 0), or
     None if some vertex is never reached."""
     order = [start]
+    visited = {start}
     frontiers = [(start,)]
     while len(order) < g.vertex_count:
         frontier = tuple(
             v
             for v in range(g.vertex_count)
-            if v not in order and any(u in order for u in g.adjacency[v])
+            if v not in visited and any(u in visited for u in g.adjacency[v])
         )
         if not frontier:
             return None
         frontiers.append(frontier)
         order.append(min(frontier))
+        visited.add(order[-1])
     return tuple(order), tuple(frontiers)
+
+
+def brute_force_bfs_lines(g, start):
+    """Reference for ``BfsTrace.stage_lines``: a plain queue simulation that
+    reads neighbors off the edge list and formats every stage's whole queue
+    from scratch."""
+    queue = [start]
+    lines = []
+    alpha = 0
+    while alpha < len(queue):
+        q = queue[alpha]
+        lines.append(f"stage {alpha}: B={alpha} Q=({' '.join(str(v) for v in queue)}) q={q}")
+        neighbors = sorted(v for e in g.edges if q in e for v in e if v != q)
+        queue.extend([v for v in neighbors if v not in queue])
+        alpha += 1
+    assert len(queue) == g.vertex_count
+    return lines
+
+
+def connected_small_graphs():
+    """Every connected labelled graph on 1 to 5 vertices."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+            if is_connected(g):
+                yield g
+
+
+def random_graphs_with_long_names(seed, count):
+    """Random connected graphs on 11 to 200 vertices, so vertex names have
+    two or three digits, sparse and dense alike; each with a random start."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(11, 200)
+        density = rng.choice((1.5 / n, 4 / n, 0.3))
+        yield random_connected_graph(n, density, rng.randint(0, 9999)), rng.randrange(n)
 
 
 def assert_matches_brute_force(g, start):
@@ -74,18 +113,15 @@ class TestDeterministicSearch:
         for _ in range(60):
             g = random_connected_graph(rng.randint(1, 12), 0.35, rng.randint(0, 9999))
             assert_matches_brute_force(g, rng.randrange(g.vertex_count))
+        for g, start in random_graphs_with_long_names(22, 20):
+            assert_matches_brute_force(g, start)
 
     def test_matches_brute_force_on_all_small_graphs(self):
         checked = 0
-        for n in range(1, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-                if not is_connected(g):
-                    continue
-                for start in range(n):
-                    assert_matches_brute_force(g, start)
-                    checked += 1
+        for g in connected_small_graphs():
+            for start in range(g.vertex_count):
+                assert_matches_brute_force(g, start)
+                checked += 1
         # 1 + 1*2 + 4*3 + 38*4 + 728*5 (connected labelled graphs times starts)
         assert checked == 3807
 
@@ -165,6 +201,18 @@ class TestBfsSearch:
         lines = bfs_search(six_cycle_tail).stage_lines()
         assert lines[0] == "stage 0: B=0 Q=(0) q=0"
         assert lines[1] == "stage 1: B=1 Q=(0 1 5) q=1"
+
+    def test_stage_lines_match_brute_force_on_all_small_graphs(self):
+        checked = 0
+        for g in connected_small_graphs():
+            for start in range(g.vertex_count):
+                assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
+                checked += 1
+        assert checked == 3807
+
+    def test_stage_lines_match_brute_force_on_random_graphs(self):
+        for g, start in random_graphs_with_long_names(24, 30):
+            assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
