@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 on success with every verdict PASS, 1 when any verdict line
-reports FAIL, 2 on usage, syntax or input errors.  Graphs are read from a
-file argument, `-` meaning standard input.  All output is deterministic for
-identical arguments.
+reports FAIL, 2 on usage, syntax or input errors, 3 on an internal error (an
+unexpected exception, reported as one ``internal error: <Type>: <message>``
+line on stderr, without a traceback).  Graphs are read from a file argument,
+`-` meaning standard input.  All output is deterministic for identical
+arguments.
+
+The argument parser is built on the first call of ``main`` and reused; it
+holds only this module's handlers, which look up library functions by name
+when they run.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ class _Verdicts:
 
 def _cmd_search(args) -> int:
     g = _read_graph(args.graph)
-    trace = args.kernel(g, args.start)
+    kernel = deterministic_search if args.command == "search" else bfs_search
+    trace = kernel(g, args.start)
     print(_fmt(trace.visit_order))
     if args.trace:
         for line in trace.stage_lines():
@@ -250,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="print one line per stage")
-    p.set_defaults(func=_cmd_search, kernel=deterministic_search)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bfs", help="breadth-first traversal")
     _add_graph_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_search, kernel=bfs_search)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("alt", help="divide-and-conquer traversal")
     _add_graph_arg(p)
@@ -324,14 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OrdinalParseError, DisconnectedGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,10 +11,17 @@ is an equivalent working form: the least-neighbor map is weakly monotone.
 The fast form is the default; the literal triple scan is kept alongside so
 the equivalence can be checked exhaustively.
 
-``enumerate_traversals`` expands the nondeterministic search tree (grow a
-prefix by any vertex adjacent to it), prunes branches that already violate
-the requested kind, and filters final candidates through the predicate, so
-its output can be compared 1:1 against brute-force permutation filtering.
+``enumerate_traversals`` lists the orders of a kind in lexicographic order
+by one backtracking walk, lexicographic generation with restricted prefixes
+(Knuth, TAOCP 4A, 7.2.1.2).  The next vertex is drawn only from the
+candidates of the generic search of the kind (Corneil and Krueger, "A
+unified view of graph searching", 2008): any unplaced vertex with a placed
+neighbor, or the unplaced neighbors of the earliest (breadth-first) or
+latest (depth-first) placed vertex that still has one.  Every prefix then
+completes, so nothing is pruned and no predicate runs; the tests compare the
+output, order included, with brute-force permutation filtering through the
+predicates above.  ``verify_lex_min`` reads only the first order of the
+walk, and ``verify_colex_max`` takes a maximum over it in O(n) memory.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -40,19 +47,17 @@ KINDS = ("all", "breadth_first", "depth_first")
 
 @dataclass(frozen=True)
 class TraversalSet:
-    """All orders of one graph passing one predicate."""
+    """All orders of one graph passing one predicate, in lexicographic
+    order."""
 
     kind: str
-    orders: frozenset[Traversal]
+    orders: tuple[Traversal, ...]
 
     def sorted_orders(self) -> list[Traversal]:
-        return sorted(self.orders)
+        return list(self.orders)
 
     def __len__(self) -> int:
         return len(self.orders)
-
-    def __contains__(self, order) -> bool:
-        return tuple(order) in self.orders
 
 
 def _require_permutation(g: OrderedGraph, order: Sequence[int]) -> None:
@@ -172,25 +177,72 @@ def colex_inverse_key(order: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(positions))
 
 
-def _predicates_for(kind: str):
-    if kind == "all":
-        return is_traversal
-    if kind == "breadth_first":
-        return is_breadth_first
-    if kind == "depth_first":
-        return is_depth_first
-    raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+MAX_ENUMERATION_VERTICES = 9
+
+
+def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[Traversal]:
+    """Orders of the kind that begin at one of the starts (ascending), in
+    lexicographic order.  The graph must be connected.
+
+    One vertex is placed or undone at a time; ``left[v]`` counts v's
+    unplaced neighbors.  Each position's candidates are read off that state:
+    for "all" the unplaced vertices with a placed neighbor, for breadth-first
+    the unplaced neighbors of the earliest placed vertex that still has one,
+    for depth-first those of the latest such vertex.  Every prefix built this
+    way completes, so no branch is cut and no finished order is tested
+    again."""
+    n = g.vertex_count
+    adjacency = g.adjacency
+    degree = [len(adjacency[v]) for v in range(n)]
+    left = degree[:]
+    placed = bytearray(n)
+    order: list[int] = []
+
+    def candidates() -> list[int]:
+        if kind == "all":
+            return [v for v in range(n) if not placed[v] and left[v] < degree[v]]
+        scan = order if kind == "breadth_first" else reversed(order)
+        u = next(u for u in scan if left[u])
+        return [w for w in adjacency[u] if not placed[w]]
+
+    # pending[i] iterates the candidates for position i, so between steps
+    # len(order) == len(pending) - 1.
+    pending = [iter(starts)]
+    while pending:
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            if order:
+                v = order.pop()
+                placed[v] = 0
+                for u in adjacency[v]:
+                    left[u] += 1
+            continue
+        if len(order) == n - 1:
+            order.append(v)
+            yield tuple(order)
+            order.pop()
+            continue
+        order.append(v)
+        placed[v] = 1
+        for u in adjacency[v]:
+            left[u] -= 1
+        pending.append(iter(candidates()))
 
 
 def enumerate_traversals(
     g: OrderedGraph, kind: str = "all", fixed_start: int | None = None
 ) -> TraversalSet:
-    """All vertex orders of the given kind, by search-tree expansion.
+    """All vertex orders of the given kind, in lexicographic order, from
+    ``fixed_start`` or from every vertex.
 
-    Prefixes grow by vertices adjacent to them, branches that already violate
-    the kind are cut, and completed orders pass through the predicate once
-    more."""
-    predicate = _predicates_for(kind)
+    The orders come from one backtracking walk (``_lex_orders``) whose
+    candidates at each position are exactly the vertices that keep the
+    prefix completable to an order of the kind.  Graphs with more than
+    ``MAX_ENUMERATION_VERTICES`` vertices are refused with ``ValueError``:
+    K_n alone has n! orders."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if g.vertex_count == 0:
         raise ValueError("no traversals of the empty graph")
     reached = reach(g, 0)
@@ -198,84 +250,40 @@ def enumerate_traversals(
         raise DisconnectedGraphError(reached.index(0), 0)
     if fixed_start is not None and not 0 <= fixed_start < g.vertex_count:
         raise ValueError(f"start vertex {fixed_start} out of range")
-    starts = [fixed_start] if fixed_start is not None else list(range(g.vertex_count))
-    n = g.vertex_count
-    found = set()
-    for s in starts:
-        stack: list[tuple[int, ...]] = [(s,)]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == n:
-                if predicate(g, prefix):
-                    found.add(prefix)
-                continue
-            used = set(prefix)
-            frontier = sorted(
-                {w for v in prefix for w in g.adjacency[v]} - used
-            )
-            for w in frontier:
-                extended = prefix + (w,)
-                if kind == "breadth_first" and not _bf_prefix_ok(g, extended):
-                    continue
-                if kind == "depth_first" and not _df_prefix_ok(g, extended):
-                    continue
-                stack.append(extended)
-    return TraversalSet(kind, frozenset(found))
+    _require_enumerable(g)
+    starts = [fixed_start] if fixed_start is not None else range(g.vertex_count)
+    return TraversalSet(kind, tuple(_lex_orders(g, kind, starts)))
 
 
-def _bf_prefix_ok(g: OrderedGraph, prefix: tuple[int, ...]) -> bool:
-    # Parents of placed vertices are final, so a monotonicity violation
-    # inside the prefix can never be repaired by any extension.
-    pos = {v: i for i, v in enumerate(prefix)}
-    last = -1
-    for v in prefix[1:]:
-        p = min(pos[u] for u in g.adjacency[v] if u in pos)
-        if p < last:
-            return False
-        last = p
-    return True
-
-
-def _df_prefix_ok(g: OrderedGraph, prefix: tuple[int, ...]) -> bool:
-    # Check pairs (u, v) with v the vertex just placed: if u and v are not
-    # adjacent, no placed vertex between them is adjacent to v, and u still
-    # has an unplaced neighbor, then that neighbor will land after v and
-    # witness a violation in every completion.
-    v = prefix[-1]
-    b = len(prefix) - 1
-    pos = {u: i for i, u in enumerate(prefix)}
-    v_nb_positions = sorted(pos[u] for u in g.adjacency[v] if u in pos)
-    for a in range(b - 1, -1, -1):
-        u = prefix[a]
-        if g.has_edge(u, v):
-            continue
-        if any(a < p < b for p in v_nb_positions):
-            continue
-        if any(w not in pos for w in g.adjacency[u]):
-            return False
-    return True
+def _require_enumerable(g: OrderedGraph) -> None:
+    if g.vertex_count > MAX_ENUMERATION_VERTICES:
+        raise ValueError(
+            f"enumeration is limited to {MAX_ENUMERATION_VERTICES} vertices; "
+            f"the graph has {g.vertex_count}"
+        )
 
 
 def verify_lex_min(g: OrderedGraph) -> dict[str, bool]:
     """Verdicts by name: the search output is the lexicographically least
     traversal from vertex 0, and the breadth-first output the least
-    breadth-first traversal from vertex 0."""
+    breadth-first traversal from vertex 0.  Each verdict reads only the
+    first order the lex-ordered enumeration yields."""
     tau = deterministic_search(g, 0).visit_order
-    all_from_zero = enumerate_traversals(g, "all", fixed_start=0)
     beta = bfs_search(g, 0).visit_order
-    bf_from_zero = enumerate_traversals(g, "breadth_first", fixed_start=0)
     return {
-        "lex-min-traversal": tau == min(all_from_zero.orders),
-        "lex-min-breadth-first": beta == min(bf_from_zero.orders),
+        "lex-min-traversal": tau == next(_lex_orders(g, "all", (0,))),
+        "lex-min-breadth-first": beta == next(_lex_orders(g, "breadth_first", (0,))),
     }
 
 
 def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
     """Verdict by name: the search output's inverse is colexicographically
-    greatest among inverses of traversals from vertex 0."""
+    greatest among inverses of traversals from vertex 0.  Walks at most
+    (n-1)! orders in O(n) memory, within ``MAX_ENUMERATION_VERTICES``."""
     tau = deterministic_search(g, 0).visit_order
-    candidates = enumerate_traversals(g, "all", fixed_start=0)
-    return {"colex-max-inverse": tau == max(candidates.orders, key=colex_inverse_key)}
+    _require_enumerable(g)
+    best = max(_lex_orders(g, "all", (0,)), key=colex_inverse_key)
+    return {"colex-max-inverse": tau == best}
 
 
 def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], Mapping[int, int]]:

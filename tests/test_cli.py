@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -179,6 +182,41 @@ class TestEnumerate:
         assert "0 1 5 2 3 4" in out.splitlines()
 
 
+def complete_graph_text(n):
+    return f"n {n}\n" + "".join(f"e {i} {j}\n" for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--kind", "all"], ["enumerate", "--kind", "dfs", "--start", "0"],
+     ["verify", "--suite", "colexmax"]],
+    ids=["enumerate", "enumerate-start", "colexmax"],
+)
+def test_enumeration_envelope(capsys, tmp_path, argv):
+    # K_10 has 10! orders; beyond the envelope nothing is enumerated.
+    limit = predicates.MAX_ENUMERATION_VERTICES
+    path = tmp_path / "k10"
+    path.write_text(complete_graph_text(limit + 1))
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration is limited to {limit} vertices; the graph has {limit + 1}\n"
+    assert peak < 2**20
+    assert time.perf_counter() - started < 1.0
+
+
+def test_lexmin_has_no_enumeration_envelope(capsys, tmp_path):
+    path = tmp_path / "k12"
+    path.write_text(complete_graph_text(12))
+    code, out, _ = run(capsys, "verify", str(path), "--suite", "lexmin")
+    assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["lexmin", "colexmax", "stability", "identities"])
     def test_suites_pass(self, capsys, six_file, suite):
@@ -338,6 +376,83 @@ class TestSelftest:
         assert code == 1
         assert out.startswith("criterion 1 slow: FAIL (")
         assert "[exceeded budget of 0s]" in out
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(ordinal):
+        raise RuntimeError("kernel fault\nsecond line")
+
+    monkeypatch.setattr(cli, "zeta", broken)
+    code, out, err = run(capsys, "zeta", "w+1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: kernel fault second line\n"
+    assert "Traceback" not in err
+
+
+class TestCachedParser:
+    """``main`` reuses one parser; it must answer like a fresh process."""
+
+    ARGVS = [
+        ["search", "{six}", "--trace"],
+        ["bfs", "{six}", "--trace", "--start", "3"],
+        ["alt", "{six}", "--stats"],
+        ["tree", "{six}", "--traversal"],
+        ["tree", "{six}", "--bfs", "--dot"],
+        ["check", "{six}", "--order", "0", "1", "5", "2", "3", "4", "--kind", "dfs"],
+        ["enumerate", "{six}", "--kind", "bfs"],
+        ["enumerate", "{six}", "--kind", "all", "--start", "2"],
+        ["verify", "{six}", "--suite", "lexmin"],
+        ["verify", "{six}", "--suite", "colexmax"],
+        ["verify", "{six}", "--suite", "stability", "--seed", "4"],
+        ["verify", "{six}", "--suite", "identities", "--probes", "3"],
+        ["witness", "--m", "2", "--n", "1", "--k", "3", "--verify"],
+        ["zeta", "w^2*3+w+4"],
+        ["random", "--n", "7", "--density", "0.4", "--seed", "2"],
+        ["selftest", "--only", "99"],
+        ["--help"],
+        ["verify", "--help"],
+        ["search"],
+        ["check", "{six}", "--order", "0", "1"],
+        ["enumerate", "{six}", "--kind", "widest"],
+        ["search", "{six}", "--start", "x"],
+        ["witness", "--m", "1", "--n", "1", "--k", "two"],
+        [],
+        ["frobnicate"],
+        ["search", "{six}", "--start", "9"],
+        ["search", "/nonexistent/file.g"],
+    ]
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch, six_file):
+        # Help text is wrapped to the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for template in self.ARGVS:
+            argv = [arg.format(six=six_file) for arg in template]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ordsearch.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+
+    def test_kernel_is_looked_up_when_the_command_runs(self, capsys, monkeypatch, six_file):
+        assert run(capsys, "bfs", six_file) == (0, "0 1 5 2 3 4\n", "")
+        calls = []
+
+        def patched(g, start=0):
+            calls.append(start)
+            return search.bfs_search(g, start)
+
+        monkeypatch.setattr(cli, "bfs_search", patched)
+        assert run(capsys, "bfs", six_file, "--start", "2") == (0, "2 1 4 0 5 3\n", "")
+        assert calls == [2]
 
 
 class TestUsage:

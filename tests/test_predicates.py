@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -175,13 +176,15 @@ class TestComparators:
 
 
 class TestEnumerateTraversals:
+    # The orders come back in lexicographic order, so each comparison with
+    # sorted brute-force output checks the order as well as the content.
     def test_triangle_from_zero(self):
         ts = enumerate_traversals(cycle_graph(3), "all", fixed_start=0)
-        assert ts.orders == {(0, 1, 2), (0, 2, 1)}
+        assert ts.orders == ((0, 1, 2), (0, 2, 1))
 
     def test_path_all_starts(self):
         ts = enumerate_traversals(path_graph(3), "all")
-        assert ts.orders == {(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)}
+        assert ts.orders == ((0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0))
 
     def test_complete_graph_all_permutations(self):
         ts = enumerate_traversals(complete_graph(3), "all")
@@ -190,18 +193,13 @@ class TestEnumerateTraversals:
     def test_matches_permutation_filter_small(self):
         for n in range(1, 6):
             for g in all_connected_graphs(n):
-                assert (
-                    enumerate_traversals(g, "all").orders
-                    == permutation_filter(g, safe_traversal)
-                )
-                assert (
-                    enumerate_traversals(g, "breadth_first").orders
-                    == permutation_filter(g, safe_breadth_first)
-                )
-                assert (
-                    enumerate_traversals(g, "depth_first").orders
-                    == permutation_filter(g, safe_depth_first)
-                )
+                for kind, pred in (
+                    ("all", safe_traversal),
+                    ("breadth_first", safe_breadth_first),
+                    ("depth_first", safe_depth_first),
+                ):
+                    ts = enumerate_traversals(g, kind)
+                    assert ts.sorted_orders() == sorted(permutation_filter(g, pred))
 
     def test_matches_permutation_filter_sampled(self):
         rng = random.Random(47)
@@ -213,10 +211,35 @@ class TestEnumerateTraversals:
                 ("breadth_first", safe_breadth_first),
                 ("depth_first", safe_depth_first),
             ):
-                assert (
-                    enumerate_traversals(g, kind, fixed_start=start).orders
-                    == permutation_filter(g, pred, fixed_start=start)
+                assert enumerate_traversals(g, kind, fixed_start=start).sorted_orders() == sorted(
+                    permutation_filter(g, pred, fixed_start=start)
                 )
+
+    @pytest.mark.parametrize(
+        "g, kind, count",
+        [
+            (complete_graph(8), "all", math.factorial(8)),
+            (path_graph(8), "all", 2**7),
+            (star_graph(8), "all", 2 * math.factorial(7)),
+            (complete_graph(8), "breadth_first", math.factorial(8)),
+            (complete_graph(8), "depth_first", math.factorial(8)),
+        ],
+        ids=["complete-all", "path-all", "star-all", "complete-bfs", "complete-dfs"],
+    )
+    def test_closed_form_counts_at_eight_vertices(self, g, kind, count):
+        orders = enumerate_traversals(g, kind).orders
+        assert len(orders) == count
+        assert all(a < b for a, b in zip(orders, orders[1:]))
+
+    def test_vertex_envelope(self):
+        assert len(enumerate_traversals(path_graph(predicates.MAX_ENUMERATION_VERTICES))) == 2 ** (
+            predicates.MAX_ENUMERATION_VERTICES - 1
+        )
+        too_many = path_graph(predicates.MAX_ENUMERATION_VERTICES + 1)
+        with pytest.raises(ValueError, match="enumeration is limited to"):
+            enumerate_traversals(too_many)
+        with pytest.raises(ValueError, match="enumeration is limited to"):
+            verify_colex_max(too_many)
 
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
