@@ -14,10 +14,12 @@ can annotate vertices with their position in a traversal.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 Traversal = tuple[int, ...]
 """A sequence listing every vertex exactly once, read as a vertex order."""
@@ -26,6 +28,11 @@ MAX_VERTICES = 1_000_000
 """The largest vertex count ``deserialize`` accepts.  Searches allocate per
 vertex, so a header alone must not be able to ask for gigabytes; the bound
 lies five times above the largest graphs the package is measured on."""
+
+MAX_RANDOM_EDGES = 1_000_000
+"""The largest expected number of random pairs, density * n * (n - 1) / 2,
+that ``random_connected_graph`` accepts.  With the spanning tree's n - 1
+edges a generated graph then has at most about two million edges."""
 
 
 class GraphFormatError(ValueError):
@@ -51,7 +58,9 @@ class OrderedGraph:
 
     Edges may be given in any order and orientation; they are normalized to
     (min, max), deduplicated and sorted.  Self-loops and out-of-range
-    endpoints are rejected.
+    endpoints are rejected.  The constructor checks and sorts every edge, in
+    O(m log m); the package's own builders, which produce canonical edges
+    already, skip that pass through the trusted ``_canonical``.
     """
 
     vertex_count: int
@@ -69,14 +78,27 @@ class OrderedGraph:
             seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
+    @classmethod
+    def _canonical(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> OrderedGraph:
+        # Trusted constructor: edges already (min, max), in range, without
+        # duplicates, sorted.
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        return self
+
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor tuples in ascending input order, indexed by vertex."""
+        """Neighbor tuples in ascending input order, indexed by vertex.
+
+        The edges are sorted by (min, max), so v's smaller neighbors arrive
+        first, in ascending order, then its larger ones: no list needs a
+        sort, and the index costs O(n + m)."""
         lists: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             lists[u].append(v)
             lists[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in lists)
+        return tuple(map(tuple, lists))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
@@ -131,12 +153,14 @@ def induced_subgraph(g: OrderedGraph, w: Iterable[int]) -> tuple[OrderedGraph, t
     if kept[0] < 0 or kept[-1] >= g.vertex_count:
         raise ValueError("vertex set out of range")
     index = {v: i for i, v in enumerate(kept)}
-    edges = [
+    # The renumbering keeps the vertex order, so the kept edges stay
+    # canonical and in sorted order.
+    edges = tuple(
         (index[u], index[v])
         for u, v in g.edges
         if u in index and v in index
-    ]
-    return OrderedGraph(len(kept), tuple(edges)), tuple(kept)
+    )
+    return OrderedGraph._canonical(len(kept), edges), tuple(kept)
 
 
 def is_permutation(order: Sequence[int], n: int) -> bool:
@@ -156,29 +180,71 @@ def relabel(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
     if not is_permutation(order, g.vertex_count):
         raise ValueError("relabeling order must be a permutation of the vertices")
     new_index = invert_permutation(order)
-    return OrderedGraph(
-        g.vertex_count,
-        tuple((new_index[u], new_index[v]) for u, v in g.edges),
-    )
+    edges = []
+    for u, v in g.edges:
+        a, b = new_index[u], new_index[v]
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
+    return OrderedGraph._canonical(g.vertex_count, tuple(edges))
 
 
 def random_connected_graph(n: int, density: float, seed: int) -> OrderedGraph:
     """Seeded connected graph: a uniform random spanning tree plus every
     remaining pair independently with the given probability.
 
-    Identical arguments always produce the identical graph.
+    Identical arguments always produce the identical graph.  The pairs are
+    drawn by geometric skipping (Batagelj and Brandes, Phys. Rev. E 71,
+    036113, 2005), so the run takes O(n log n + m log m) time, not a coin
+    per pair.  More than ``MAX_VERTICES`` vertices, or an expected edge
+    count above ``MAX_RANDOM_EDGES``, is refused with ``ValueError`` before
+    anything is built.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    pair_count = n * (n - 1) // 2
+    if density * pair_count > MAX_RANDOM_EDGES:
+        raise ValueError(
+            f"expected edge count {density * pair_count:.0f} exceeds the limit of {MAX_RANDOM_EDGES}"
+        )
     rng = random.Random(seed)
     edges = set(_uniform_spanning_tree(n, rng))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < density:
-                edges.add((u, v))
-    return OrderedGraph(n, tuple(edges))
+    edges.update(_decode_pairs(n, _pair_indices(pair_count, density, rng)))
+    return OrderedGraph._canonical(n, tuple(sorted(edges)))
+
+
+def _pair_indices(count: int, density: float, rng: random.Random) -> Iterator[int]:
+    """Ascending indices in range(count), each kept independently with
+    probability ``density``.  The gap before the next kept index is
+    geometric, P(gap >= k) = (1 - density)^k, so it is drawn by inversion
+    from one uniform variate per kept index."""
+    if density == 1:
+        yield from range(count)
+        return
+    # log1p keeps log(1 - density) nonzero for subnormal densities; the gap
+    # stays a float until it is known to land in range, since it can be inf.
+    log_keep = math.log1p(-density)
+    i = -1
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_keep
+        if gap >= count - 1 - i:
+            return
+        i += 1 + int(gap)
+        yield i
+
+
+def _decode_pairs(n: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v < n, at ascending indices into the pairs in
+    lexicographic order; walks the rows once, O(n + len(indices))."""
+    u, row_start, row_end = 0, 0, n - 1
+    for i in indices:
+        while i >= row_end:
+            u += 1
+            row_start, row_end = row_end, row_end + n - 1 - u
+        yield u, u + 1 + i - row_start
 
 
 def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -212,53 +278,65 @@ def serialize(g: OrderedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numeral(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:  # a literal beyond Python's digit limit
-        raise GraphFormatError(f"unreadable number: {exc}", lineno) from None
-
-
 def deserialize(text: str) -> OrderedGraph:
-    """Parse the line-based graph format, reporting errors with line numbers."""
+    """Parse the line-based graph format, reporting errors with line numbers.
+
+    Each edge is checked once, as its line is read, and stored as the
+    number u * n + v of its normalized pair (u, v), u < v; one sort of those
+    numbers then puts the edges in canonical order, so the parse costs
+    O(m log m) and the graph is built without a second check."""
     vertex_count = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    seen: set[int] = set()
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "n":
-            if vertex_count is not None:
-                raise GraphFormatError("duplicate vertex count line", lineno)
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise GraphFormatError("expected 'n <count>'", lineno)
-            vertex_count = _numeral(fields[1], lineno)
-            if vertex_count > MAX_VERTICES:
-                raise GraphFormatError(
-                    f"vertex count {vertex_count} exceeds the limit of {MAX_VERTICES}", lineno
-                )
-        elif fields[0] == "e":
+        head = fields[0]
+        if head == "e":
             if vertex_count is None:
                 raise GraphFormatError("edge before vertex count line", lineno)
             if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
-            u, v = _numeral(fields[1], lineno), _numeral(fields[2], lineno)
-            if u == v:
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError as exc:  # a literal beyond Python's digit limit
+                raise GraphFormatError(f"unreadable number: {exc}", lineno) from None
+            if u < v:
+                if v >= vertex_count:
+                    raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
+                key = u * vertex_count + v
+            elif v < u:
+                if u >= vertex_count:
+                    raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
+                key = v * vertex_count + u
+            else:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            if u >= vertex_count or v >= vertex_count:
-                raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
-            key = (min(u, v), max(u, v))
             if key in seen:
-                raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
+                lo, hi = divmod(key, vertex_count)
+                raise GraphFormatError(f"duplicate edge ({lo}, {hi})", lineno)
             seen.add(key)
-            edges.append(key)
-        else:
-            raise GraphFormatError(f"unknown directive {fields[0]!r}", lineno)
+        elif head == "n":
+            if vertex_count is not None:
+                raise GraphFormatError("duplicate vertex count line", lineno)
+            if len(fields) != 2 or not fields[1].isdecimal():
+                raise GraphFormatError("expected 'n <count>'", lineno)
+            try:
+                vertex_count = int(fields[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"unreadable number: {exc}", lineno) from None
+            if vertex_count > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {vertex_count} exceeds the limit of {MAX_VERTICES}", lineno
+                )
+        elif head[0] != "#":
+            raise GraphFormatError(f"unknown directive {head!r}", lineno)
     if vertex_count is None:
-        raise GraphFormatError("missing vertex count line", len(text.splitlines()) or 1)
-    return OrderedGraph(vertex_count, tuple(edges))
+        raise GraphFormatError("missing vertex count line", len(lines) or 1)
+    keys = sorted(seen)
+    del seen, lines
+    return OrderedGraph._canonical(vertex_count, tuple(map(divmod, keys, repeat(vertex_count))))
 
 
 def dot_export(g: OrderedGraph, traversal: Sequence[int] | None = None) -> str:

@@ -382,7 +382,7 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
         qu, qv = vertex_part[u], vertex_part[v]
         if qu != qv:
             quotient_edges.add((min(qu, qv), max(qu, qv)))
-    quotient = OrderedGraph(len(part_sets), tuple(quotient_edges))
+    quotient = OrderedGraph._canonical(len(part_sets), tuple(sorted(quotient_edges)))
     quotient_order = deterministic_search(quotient, 0).visit_order
     searched = [anchors[order_of_parts[qi]] for qi in quotient_order]
     expected = sorted(anchors, key=positions.__getitem__)

@@ -297,9 +297,29 @@ def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> LeastNeighborMa
 
 def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
     """Spanning tree obtained by symmetrizing the least-neighbor map of a
-    traversal of g."""
-    from .predicates import is_traversal
+    traversal of g.
 
-    if not is_traversal(g, order):
-        raise ValueError("order is not a traversal of the graph")
-    return OrderedGraph(g.vertex_count, least_neighbor_map(g, order).edges())
+    The least-neighbor walk checks the order as it goes: a vertex that no
+    earlier vertex touched leaves its prefix disconnected, so the order is
+    not a traversal and ``ValueError`` is raised, as it is for an order that
+    is not a permutation and for the empty graph."""
+    n = g.vertex_count
+    if not is_permutation(order, n):
+        raise ValueError("order must be a permutation of the vertices")
+    if n == 0:
+        raise ValueError("no traversals of the empty graph")
+    adjacency = g.adjacency
+    root = order[0]
+    parent = [-1] * n
+    parent[root] = root
+    for u in order:
+        if parent[u] < 0:
+            raise ValueError("order is not a traversal of the graph")
+        for w in adjacency[u]:
+            if parent[w] < 0:
+                parent[w] = u
+    # Each vertex but the root adds the edge to its parent, which came
+    # earlier in the order, so no edge is added twice.
+    edges = [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if v != root]
+    edges.sort()
+    return OrderedGraph._canonical(n, tuple(edges))

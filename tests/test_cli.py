@@ -5,12 +5,15 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordsearch import acceptance, cli, predicates, search, witness
 from ordsearch.cli import main
-from ordsearch.graph import deserialize, serialize
+from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
 from ordsearch.witness import WitnessVerdict, build_zeta_witness, format_manifest
 
@@ -129,6 +132,20 @@ class TestTree:
         assert out.startswith("graph ordered {")
         assert '0 [label="0 (pos 0)"];' in out
         assert "4 -- 5;" in out
+
+    @pytest.mark.parametrize("kind", ["--traversal", "--bfs"])
+    def test_tree_checks_its_order_without_is_traversal(self, capsys, monkeypatch, six_file, kind):
+        calls = []
+        original = predicates.is_traversal
+
+        def counted(g, order):
+            calls.append(order)
+            return original(g, order)
+
+        monkeypatch.setattr(predicates, "is_traversal", counted)
+        code, out, _ = run(capsys, "tree", six_file, kind)
+        assert code == 0 and out.startswith("n 6\n")
+        assert calls == []
 
     def test_requires_kind(self, six_file):
         with pytest.raises(SystemExit) as exc:
@@ -356,6 +373,67 @@ class TestRandom:
         g = deserialize(first)
         assert g.vertex_count == 9
         assert serialize(g) == first
+
+    @pytest.mark.parametrize(
+        "n, density, message",
+        [
+            (MAX_VERTICES + 1, "1e-9", f"error: vertex count {MAX_VERTICES + 1} exceeds the limit"),
+            (300_000_000, "0.5", "error: vertex count 300000000 exceeds the limit"),
+            (100_000, "1", f"error: expected edge count 4999950000 exceeds the limit of {MAX_RANDOM_EDGES}"),
+            (2001, "1", f"error: expected edge count 2001000 exceeds the limit of {MAX_RANDOM_EDGES}"),
+        ],
+    )
+    def test_envelope_is_input_error(self, capsys, n, density, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "random", "--n", str(n), "--density", density)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("density", ["1e-300", "2.2250738585072014e-308", "4e-320", "5e-324"])
+    def test_vanishing_density_prints_a_tree(self, capsys, density):
+        code, out, err = run(capsys, "random", "--n", "300", "--density", density, "--seed", "5")
+        assert (code, err) == (0, "")
+        g = deserialize(out)
+        assert (g.vertex_count, len(g.edges)) == (300, 299)
+        assert is_connected(g)
+
+
+def graph_lines():
+    """Lines of graph text: mostly well-formed directives on small numbers,
+    some malformed, some arbitrary text."""
+    number = st.one_of(
+        st.integers(0, 9).map(str),
+        st.sampled_from(["-1", "+1", "\u00b2", "1_0", "x", "9" * 5000, "007"]),
+    )
+    return st.one_of(
+        st.tuples(st.just("e"), number, number).map(" ".join),
+        st.tuples(st.just("n"), number).map(" ".join),
+        st.lists(number, max_size=4).map(lambda rest: " ".join(["e", *rest])),
+        st.sampled_from(["", "   ", "# comment", "\t# indented", "n", "x 0 1"]),
+        st.text(max_size=12),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(graph_lines(), max_size=14).map("\n".join),
+    st.sampled_from([["search", "-"], ["tree", "-", "--bfs"], ["alt", "-"]]),
+)
+def test_graph_text_fuzz_exits_0_or_2(text, argv):
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 2), message
+    assert "Traceback" not in message
+    if message.startswith("error: line "):
+        lineno = int(message.split()[2].rstrip(":"))
+        assert 1 <= lineno <= max(1, len(text.splitlines()))
 
 
 class TestSelftest:

@@ -1,9 +1,13 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph
 from ordsearch.graph import (
+    MAX_RANDOM_EDGES,
     MAX_VERTICES,
     GraphFormatError,
     OrderedGraph,
@@ -16,6 +20,9 @@ from ordsearch.graph import (
     reach,
     relabel,
     serialize,
+    _decode_pairs,
+    _pair_indices,
+    _uniform_spanning_tree,
 )
 
 
@@ -227,6 +234,122 @@ class TestRandomConnectedGraph:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_connected_graph(0, 0.5, 0)
+
+    def test_decodes_every_pair_index(self):
+        for n in range(1, 41):
+            pairs = list(itertools.combinations(range(n), 2))
+            assert list(_decode_pairs(n, range(len(pairs)))) == pairs
+            rng = random.Random(n)
+            indices = sorted(rng.sample(range(len(pairs)), len(pairs) // 3))
+            assert list(_decode_pairs(n, indices)) == [pairs[i] for i in indices]
+
+    def test_pair_indices_ascend_within_range(self):
+        assert list(_pair_indices(10, 1.0, random.Random(0))) == list(range(10))
+        assert list(_pair_indices(0, 0.5, random.Random(0))) == []
+        for seed in range(50):
+            indices = list(_pair_indices(300, 0.2, random.Random(seed)))
+            assert indices == sorted(set(indices))
+            assert all(0 <= i < 300 for i in indices)
+
+    def test_edge_count_matches_expectation(self):
+        # Beyond the n - 1 tree edges, each of the other pairs joins with
+        # probability d, so over the seeds the count is binomial.
+        n, d, seeds = 2000, 0.001, 20
+        trials = seeds * (n * (n - 1) // 2 - (n - 1))
+        extra = sum(len(random_connected_graph(n, d, seed).edges) - (n - 1) for seed in range(seeds))
+        assert abs(extra - trials * d) <= 4 * math.sqrt(trials * d * (1 - d))
+
+    def test_each_pair_joins_with_the_density(self):
+        # The tree is drawn first from the same stream, so it can be redrawn
+        # to tell which pairs were left to chance.
+        n, d, seeds = 6, 0.3, 5000
+        trials = dict.fromkeys(itertools.combinations(range(n), 2), 0)
+        joined = dict(trials)
+        for seed in range(seeds):
+            tree = set(_uniform_spanning_tree(n, random.Random(seed)))
+            edges = set(random_connected_graph(n, d, seed).edges)
+            assert tree <= edges
+            for pair in trials:
+                if pair not in tree:
+                    trials[pair] += 1
+                    joined[pair] += pair in edges
+        for pair, count in trials.items():
+            assert abs(joined[pair] - count * d) <= 4 * math.sqrt(count * d * (1 - d)), pair
+
+    def test_envelope(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            random_connected_graph(MAX_VERTICES + 1, 1e-9, 0)
+        n = 20_000  # about 2 * 10^8 pairs
+        with pytest.raises(ValueError, match="expected edge count"):
+            random_connected_graph(n, (MAX_RANDOM_EDGES + 1) / (n * (n - 1) // 2), 0)
+        g = random_connected_graph(n, MAX_RANDOM_EDGES / (n * (n - 1) // 2) / 1000, 0)
+        assert is_connected(g)
+
+
+def canonical_copy(g):
+    """The same graph built by the checking constructor from its edges."""
+    return OrderedGraph(g.vertex_count, g.edges)
+
+
+def sorted_neighbor_lists(n, edges):
+    lists = [[] for _ in range(n)]
+    for u, v in edges:
+        lists[u].append(v)
+        lists[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in lists)
+
+
+@st.composite
+def edge_texts(draw):
+    """A graph's edge list and its text, the lines shuffled and each edge in
+    a random orientation."""
+    n = draw(st.integers(0, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"e {v} {u}" if draw(st.booleans()) else f"e {u} {v}" for u, v in edges]
+    lines = draw(st.permutations(lines)) if lines else []
+    return n, edges, "\n".join([f"n {n}", *lines]) + "\n"
+
+
+class TestTrustedPath:
+    """Graphs built without the constructor's checks must equal the ones the
+    checking constructor builds from the same edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_texts())
+    def test_parse_matches_the_checking_constructor(self, case):
+        n, edges, text = case
+        g = deserialize(text)
+        assert g == OrderedGraph(n, tuple(edges))
+        assert g.adjacency == sorted_neighbor_lists(n, edges)
+
+    def test_relabel_on_all_small_graphs(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+                if not is_connected(g):
+                    continue
+                for order in itertools.permutations(range(n)):
+                    h = relabel(g, order)
+                    assert h == canonical_copy(h)
+                    new = invert_permutation(order)
+                    assert h.edges == OrderedGraph(n, tuple((new[u], new[v]) for u, v in g.edges)).edges
+
+    def test_builders_on_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 200)
+            g = random_connected_graph(n, rng.choice((1.5 / n, 4 / n, 0.3)), rng.randint(0, 9999))
+            assert g == canonical_copy(g)
+            assert g.adjacency == sorted_neighbor_lists(n, g.edges)
+            order = list(range(n))
+            rng.shuffle(order)
+            h = relabel(g, order)
+            assert h == canonical_copy(h)
+            assert h.adjacency == sorted_neighbor_lists(n, h.edges)
+            sub, _ = induced_subgraph(g, rng.sample(range(n), rng.randint(1, n)))
+            assert sub == canonical_copy(sub)
 
 
 class TestSerialization:

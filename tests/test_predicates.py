@@ -379,6 +379,25 @@ class TestQuotientStability:
         with pytest.raises(ValueError, match="partition"):
             verify_quotient_stability(six_run, [{0, 1}, {1, 2, 3, 4, 5}])
 
+    def test_quotient_graph_is_canonical(self, monkeypatch, six_run):
+        searched = []
+
+        def spy(g, start=0):
+            searched.append(g)
+            return deterministic_search(g, start)
+
+        monkeypatch.setattr(predicates, "deterministic_search", spy)
+        assert verify_quotient_stability(six_run, [{0, 1, 2, 4}, {5, 3}])
+        assert searched == [OrderedGraph(2, ((0, 1),))]
+        # With singleton parts the quotient is the graph itself, edge order
+        # included.
+        rng = random.Random(29)
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(1, 40), 0.2, rng.randint(0, 9999))
+            searched.clear()
+            assert verify_quotient_stability(deterministic_search(g), [{v} for v in range(g.vertex_count)])
+            assert searched == [g]
+
     @pytest.mark.parametrize("parts", [[{0}, {1, 2}, {3}], [{0}, {1}, {2, 3}]])
     def test_rejects_part_connected_only_through_another(self, parts):
         # On a star the leaves 1, 2, 3 are intervals of (0, 1, 2, 3) but

@@ -309,6 +309,40 @@ class TestTraversalTree:
         with pytest.raises(ValueError):
             traversal_tree(path_graph(3), (0, 2, 1))
 
+    def test_rejects_what_is_traversal_rejects(self):
+        # Every graph and every order on up to five vertices, connected or
+        # not: the walk's check must agree with the prefix test.
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+                for order in itertools.permutations(range(n)):
+                    if is_traversal(g, order):
+                        tree = traversal_tree(g, order)
+                        assert tree == OrderedGraph(n, least_neighbor_map(g, order).edges())
+                    else:
+                        with pytest.raises(ValueError) as exc:
+                            traversal_tree(g, order)
+                        assert str(exc.value) == "order is not a traversal of the graph"
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [(OrderedGraph(0), ()), (OrderedGraph(0), (0,)), (path_graph(3), (0, 1)), (path_graph(3), (0, 1, 1))],
+    )
+    def test_input_errors_match_is_traversal(self, g, order):
+        with pytest.raises(ValueError) as expected:
+            is_traversal(g, order)
+        with pytest.raises(ValueError) as exc:
+            traversal_tree(g, order)
+        assert str(exc.value) == str(expected.value)
+
+    def test_trees_of_search_runs_are_canonical(self):
+        for g, start in random_graphs_with_long_names(47, 30):
+            for order in (deterministic_search(g, start).visit_order, bfs_search(g, start).visit_order):
+                tree = traversal_tree(g, order)
+                assert tree == OrderedGraph(tree.vertex_count, tree.edges)
+                assert tree.adjacency == OrderedGraph(g.vertex_count, tree.edges).adjacency
+
     def test_tree_shape_properties(self):
         rng = random.Random(31)
         for _ in range(40):
