@@ -112,16 +112,10 @@ class OrderedGraph:
         return len(self.neighbors(v))
 
 
-def reach(g: OrderedGraph, start: int, marks: bytearray | None = None) -> bytearray:
-    """Mark ``start`` and every vertex reachable from it through unmarked
-    vertices; returns ``marks``, one byte per vertex (fresh when omitted).
-
-    Vertices marked beforehand are walls: the search neither enters nor
-    passes them, so pre-marking restricts it to the rest of the graph.
-    Iterative depth-first search, O(n + m).
-    """
-    if marks is None:
-        marks = bytearray(g.vertex_count)
+def reach(g: OrderedGraph, start: int) -> bytearray:
+    """One byte per vertex, set for ``start`` and every vertex reachable
+    from it.  Iterative depth-first search, O(n + m)."""
+    marks = bytearray(g.vertex_count)
     adjacency = g.adjacency
     marks[start] = 1
     stack = [start]
@@ -165,6 +159,15 @@ def induced_subgraph(g: OrderedGraph, w: Iterable[int]) -> tuple[OrderedGraph, t
 
 def is_permutation(order: Sequence[int], n: int) -> bool:
     return len(order) == n and sorted(order) == list(range(n))
+
+
+def _require_order(g: OrderedGraph, order: Sequence[int]) -> None:
+    """Raise the ``ValueError`` every traversal check gives for an order that
+    is not a permutation of g's vertices, and for the empty graph."""
+    if not is_permutation(order, g.vertex_count):
+        raise ValueError("order must be a permutation of the vertices")
+    if g.vertex_count == 0:
+        raise ValueError("no traversals of the empty graph")
 
 
 def invert_permutation(order: Sequence[int]) -> tuple[int, ...]:

@@ -29,15 +29,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 import random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     DisconnectedGraphError,
     OrderedGraph,
     Traversal,
+    _require_order,
     induced_subgraph,
     invert_permutation,
-    is_permutation,
     reach,
 )
 from .search import SearchTrace, bfs_search, deterministic_search, least_neighbor_map
@@ -60,17 +60,10 @@ class TraversalSet:
         return len(self.orders)
 
 
-def _require_permutation(g: OrderedGraph, order: Sequence[int]) -> None:
-    if not is_permutation(order, g.vertex_count):
-        raise ValueError("order must be a permutation of the vertices")
-
-
 def is_traversal(g: OrderedGraph, order: Sequence[int]) -> bool:
     """True iff every prefix of the order induces a connected subgraph."""
-    _require_permutation(g, order)
+    _require_order(g, order)
     n = g.vertex_count
-    if n == 0:
-        raise ValueError("no traversals of the empty graph")
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -98,7 +91,7 @@ def is_traversal(g: OrderedGraph, order: Sequence[int]) -> bool:
 
 def has_decreasing_neighbors(g: OrderedGraph, order: Sequence[int]) -> bool:
     """True iff every non-first vertex has a neighbor earlier in the order."""
-    _require_permutation(g, order)
+    _require_order(g, order)
     positions = invert_permutation(order)
     for v in order[1:]:
         if not any(positions[u] < positions[v] for u in g.adjacency[v]):
@@ -113,10 +106,10 @@ def _require_traversal(g: OrderedGraph, order: Sequence[int]) -> None:
 
 def is_breadth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     """Breadth-first test via the least-neighbor map: parents' positions must
-    be weakly increasing along the order."""
-    _require_traversal(g, order)
-    positions = invert_permutation(order)
+    be weakly increasing along the order.  The map's walk raises
+    ``ValueError`` on an order that is not a traversal."""
     parent = least_neighbor_map(g, order).parent
+    positions = invert_permutation(order)
     last = -1
     for v in order[1:]:
         p = positions[parent[v]]
@@ -286,7 +279,7 @@ def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
     return {"colex-max-inverse": tau == best}
 
 
-def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], Mapping[int, int]]:
+def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], tuple[int, ...]]:
     """The run's order, the positions in it and its least-neighbor map (the
     run derives the last two once, for every verdict on it); the stability
     verdicts are stated for searches from vertex 0 only."""
@@ -313,9 +306,9 @@ def closure_samples(run: SearchTrace, seed: int, count: int) -> list[frozenset[i
         while pending:
             v = pending.pop()
             closed.add(v)
-            p = parent.get(v)
-            if p is not None and p not in closed:
-                pending.add(p)
+            # The root is its own parent, and already closed.
+            if parent[v] not in closed:
+                pending.add(parent[v])
         key = frozenset(closed)
         if key not in seen:
             seen.add(key)
@@ -342,9 +335,14 @@ def verify_subset_stability(run: SearchTrace, w: Iterable[int]) -> bool:
 
 
 def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) -> bool:
-    """Collapsing an interval partition (each part connected and parent-closed
-    except at its first element) and searching the quotient must order the
-    parts as the run ordered their first elements."""
+    """Collapsing an interval partition (each part parent-closed except at
+    its first element) and searching the quotient must order the parts as
+    the run ordered their first elements.
+
+    A closed part is connected: from each of its vertices the parent chain
+    stays inside the part and descends in the order to the first element,
+    along graph edges.  So partition, interval and closure are checked, and
+    connectivity follows."""
     g = run.graph
     part_sets = [set(p) for p in parts]
     flat = [v for p in part_sets for v in p]
@@ -352,20 +350,12 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
         raise ValueError("parts do not partition the vertex set")
     tau, positions, parent = _run_facts(run)
     anchors = []
-    outside = bytearray(b"\x01") * g.vertex_count
     for i, part in enumerate(part_sets):
         by_pos = sorted(positions[v] for v in part)
         if by_pos[-1] - by_pos[0] + 1 != len(part):
             raise ValueError(f"part {i} is not an interval of the traversal")
         anchor = tau[by_pos[0]]
         anchors.append(anchor)
-        # Only this part is unmarked, so the search stays inside it; a part
-        # that passes is left marked again for the next one.
-        for v in part:
-            outside[v] = 0
-        reach(g, anchor, outside)
-        if not all(outside[v] for v in part):
-            raise ValueError(f"part {i} does not induce a connected subgraph")
         for v in part:
             if v != anchor and parent[v] not in part:
                 raise ValueError(
@@ -412,11 +402,10 @@ def level_decomposition(
     graphs: each level is an interval of the order, levels appear in
     increasing distance order, and the least-neighbor map drops every vertex
     exactly one level."""
-    _require_permutation(g, order)
-    if order[0] != root:
-        raise ValueError("order does not start at the root")
     if not is_breadth_first(g, order):
         raise ValueError("order is not a breadth-first traversal")
+    if order[0] != root:
+        raise ValueError("order does not start at the root")
     dist = {root: 0}
     frontier = [root]
     levels = [frozenset([root])]

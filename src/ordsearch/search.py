@@ -1,20 +1,25 @@
 """The three search algorithms and the traversal trees they induce.
 
 ``deterministic_search`` grows a visited set one vertex at a time, always
-taking the numerically least vertex adjacent to the visited set.  It keeps
-only the visit order; each stage's candidate frontier is derived from it on
-demand, so a caller that wants no trace pays for none.  ``bfs_search`` is
-the queue variant: when a vertex is processed its unseen neighbors are
-appended to the queue in ascending order, and the queue itself, once
-complete, is the visit order.  ``alt_search`` computes the same order as
-``deterministic_search`` by a divide and conquer scheme: remove the greatest
-remaining vertex, traverse the start's component, then traverse the rest
-from that removed vertex.  The agreement of the two is a checked property,
-not an assumption.
+taking the numerically least vertex adjacent to the visited set.
+``bfs_search`` is the queue variant: when a vertex is processed its unseen
+neighbors are appended to the queue in ascending order, and the queue
+itself, once complete, is the visit order.  ``alt_search`` computes the same
+order as ``deterministic_search`` by a divide and conquer scheme: remove the
+greatest remaining vertex, traverse the start's component, then traverse the
+rest from that removed vertex.  The agreement of the two is a checked
+property, not an assumption.
+
+A run is its visit order plus its graph; nothing else is stored, so a caller
+that wants no trace pays for none.  Each search stage's candidate frontier
+is replayed from the order, and each BFS stage's queue length is read off
+the least-neighbor map.
 
 A traversal's least-neighbor map sends every vertex except the first to its
-earliest neighbor in the order; symmetrizing it yields a spanning tree, and
-re-running the matching search on that tree reproduces the traversal.
+earliest neighbor in the order.  ``least_neighbor_map`` is the one walk that
+computes it, and it rejects an order that is not a traversal.  Symmetrizing
+the map yields a spanning tree, and re-running the matching search on that
+tree reproduces the traversal.
 """
 
 from __future__ import annotations
@@ -24,41 +29,26 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from .graph import (
     DisconnectedGraphError,
     OrderedGraph,
     Traversal,
+    _require_order,
     invert_permutation,
-    is_permutation,
     reach,
 )
 
 
 @dataclass(frozen=True)
-class ChoiceStage:
-    """One stage of deterministic search: the frontier and the pick."""
+class Run:
+    """A search run: its visit order, with the graph kept (outside ``==``
+    and ``repr``) so that everything else about the run is derived from the
+    order on demand.
 
-    chosen: int
-    frontier: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SearchTrace:
-    """Deterministic search run.  Only the visit order is stored; the graph
-    is kept (outside ``==`` and ``repr``) so that the per-stage frontiers and
-    the least-neighbor map can be derived from the run on demand.
-
-    Stage i of ``stages()`` picks visit_order[i]; the stage-0 frontier is
-    the start vertex alone.  Each call of ``stages()`` or ``stage_lines()``
-    replays the order, in time proportional to the total size of the
-    frontiers.  The replay keeps each frontier vertex's decimal name beside
-    it, so a trace line is one join over strings that already exist and the
-    whole trace costs about one copy of its text.
-
-    ``positions`` and ``least_neighbors`` are derived on first use and kept
-    (outside ``==`` and ``repr``), so every verdict on one run shares them.
+    ``positions`` and ``least_neighbors`` are derived on first use and kept,
+    so the stage lines and every verdict on one run share them.
     """
 
     visit_order: Traversal
@@ -74,55 +64,48 @@ class SearchTrace:
         """The least-neighbor map of the visit order."""
         return least_neighbor_map(self.graph, self.visit_order)
 
-    def _frontiers(self) -> Iterator[tuple[list[int], list[str]]]:
-        """The sorted frontier before each pick and its vertices' names, in
-        the same order; the same two lists are yielded every stage, so copy
-        them to keep them."""
+
+@dataclass(frozen=True)
+class SearchTrace(Run):
+    """Deterministic search run.  Stage i picks visit_order[i]; the stage-0
+    frontier is the start vertex alone.
+
+    Each call of ``stage_lines()`` replays the order, in time proportional
+    to the total size of the frontiers.  The replay keeps each frontier
+    vertex's decimal name beside it, so a trace line is one join over
+    strings that already exist and the whole trace costs about one copy of
+    its text.
+    """
+
+    def stage_lines(self) -> list[str]:
         adjacency = self.graph.adjacency
         names = list(map(str, range(self.graph.vertex_count)))
         seen = bytearray(self.graph.vertex_count)
         start = self.visit_order[0]
         seen[start] = 1
+        # The sorted frontier and its vertices' names, in the same order.
+        # The pick is the least frontier vertex, so its name comes first.
         frontier = [start]
         frontier_names = [names[start]]
-        for v in self.visit_order:
-            yield frontier, frontier_names
+        lines = []
+        for i, v in enumerate(self.visit_order):
+            lines.append(f"stage {i}: pick {frontier_names[0]} from {{{' '.join(frontier_names)}}}")
             del frontier[0]
             del frontier_names[0]
             for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = 1
-                    i = bisect_left(frontier, w)
-                    frontier.insert(i, w)
-                    frontier_names.insert(i, names[w])
-
-    def stages(self) -> Iterator[ChoiceStage]:
-        for v, (frontier, _) in zip(self.visit_order, self._frontiers()):
-            yield ChoiceStage(v, tuple(frontier))
-
-    def stage_lines(self) -> list[str]:
-        # The pick is the least frontier vertex, so its name comes first.
-        return [
-            f"stage {i}: pick {names[0]} from {{{' '.join(names)}}}"
-            for i, (_, names) in enumerate(self._frontiers())
-        ]
+                    j = bisect_left(frontier, w)
+                    frontier.insert(j, w)
+                    frontier_names.insert(j, names[w])
+        return lines
 
 
 @dataclass(frozen=True)
-class BfsStage:
-    """One stage of breadth-first search: processed-prefix length, the queue
-    so far, and the vertex being processed."""
-
-    prefix_len: int
-    queue: tuple[int, ...]
-    q: int
-
-
-@dataclass(frozen=True)
-class BfsTrace:
+class BfsTrace(Run):
     """Breadth-first run.  The queue only ever grows at the end, so each
-    stage's queue is a prefix of the final one; storing the visit order (the
-    final queue) plus the queue length at each stage captures every stage.
+    stage's queue is a prefix of the final one, the visit order; its length
+    comes from the least-neighbor map.
 
     ``stage_lines()`` prints the sum of the queue lengths in entries, which
     is quadratic in n in the worst case (a star).  It names the vertices and
@@ -130,22 +113,23 @@ class BfsTrace:
     the trace costs about one copy of its text.
     """
 
-    visit_order: Traversal
-    queue_lengths: tuple[int, ...]
-
-    def stages(self) -> Iterator[BfsStage]:
-        for alpha, qlen in enumerate(self.queue_lengths):
-            yield BfsStage(alpha, self.visit_order[:qlen], self.visit_order[alpha])
-
     def stage_lines(self) -> list[str]:
+        # A BFS enqueues w while processing w's order-least neighbor, so the
+        # queue before stage alpha holds the root and every vertex whose
+        # least neighbor sits before alpha.
+        positions = self.positions
+        parent = self.least_neighbors.parent
+        enqueued = [0] * len(self.visit_order)
+        for v in self.visit_order[1:]:
+            enqueued[positions[parent[v]]] += 1
         names = list(map(str, self.visit_order))
         joined = " ".join(names)
         # ends[k] is the offset just past the separator after the k-th name,
         # so the first k names, space separated, are joined[:ends[k] - 1].
         ends = list(accumulate((len(name) + 1 for name in names), initial=0))
         return [
-            f"stage {alpha}: B={alpha} Q=({joined[:ends[qlen] - 1]}) q={names[alpha]}"
-            for alpha, qlen in enumerate(self.queue_lengths)
+            f"stage {alpha}: B={alpha} Q=({joined[:ends[qlen] - 1]}) q={name}"
+            for alpha, (name, qlen) in enumerate(zip(names, accumulate(enqueued, initial=1)))
         ]
 
 
@@ -186,22 +170,20 @@ def bfs_search(g: OrderedGraph, start: int = 0) -> BfsTrace:
     enqueued in ascending input order."""
     _check_start(g, start)
     n = g.vertex_count
+    adjacency = g.adjacency
     queue = [start]
     enqueued = bytearray(n)
     enqueued[start] = 1
-    qlens = []
-    alpha = 0
-    while alpha < len(queue):
-        qlens.append(len(queue))
-        q = queue[alpha]
-        for w in g.adjacency[q]:
+    # A list iterator also yields the items appended while it runs, so this
+    # loop processes the queue in order until it is exhausted.
+    for q in queue:
+        for w in adjacency[q]:
             if not enqueued[w]:
                 enqueued[w] = 1
                 queue.append(w)
-        alpha += 1
     if len(queue) != n:
         raise DisconnectedGraphError(enqueued.index(0), start)
-    return BfsTrace(tuple(queue), tuple(qlens))
+    return BfsTrace(tuple(queue), g)
 
 
 def alt_search(g: OrderedGraph, start: int = 0) -> Traversal:
@@ -259,58 +241,37 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
 
 @dataclass(frozen=True)
 class LeastNeighborMap:
-    """For a vertex order: every vertex except the order's first element maps
-    to its neighbor that comes earliest in the order."""
+    """For a traversal: ``parent[v]`` is v's neighbor that comes earliest in
+    the order, for every vertex v except the order's first element, the
+    root, which maps to itself."""
 
     root: int
-    parent: Mapping[int, int]
+    parent: tuple[int, ...]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The symmetrized parent edges, normalized and sorted."""
-        return tuple(sorted({(min(v, p), max(v, p)) for v, p in self.parent.items()}))
+        """The symmetrized parent edges, normalized and sorted.  Each vertex
+        but the root adds the edge to its parent, which came earlier in the
+        order, so no edge is added twice."""
+        root = self.root
+        edges = [(v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if v != root]
+        edges.sort()
+        return tuple(edges)
 
 
 def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> LeastNeighborMap:
-    """Map each non-first vertex of the order to its order-least neighbor.
+    """Map each vertex of a traversal of g to its order-least neighbor, and
+    the first vertex to itself.
 
-    Every vertex other than the order's first element must have at least one
-    neighbor.
-    """
-    if not is_permutation(order, g.vertex_count):
-        raise ValueError("order must be a permutation of the vertices")
+    The walk checks the order as it goes: a vertex that no earlier vertex
+    touched leaves its prefix disconnected, so the order is not a traversal
+    and ``ValueError`` is raised, with ``is_traversal``'s message, as it is
+    for an order that is not a permutation and for the empty graph."""
+    _require_order(g, order)
     adjacency = g.adjacency
     root = order[0]
     # Walking the order, the first vertex seen next to w is w's order-least
-    # neighbor; the root is pre-set so it gets no parent.
-    first_seen: list[int | None] = [None] * g.vertex_count
-    first_seen[root] = root
-    for u in order:
-        for w in adjacency[u]:
-            if first_seen[w] is None:
-                first_seen[w] = u
-    if None in first_seen:
-        raise ValueError(
-            f"vertex {first_seen.index(None)} is isolated and not first in the order"
-        )
-    return LeastNeighborMap(root, {v: p for v, p in enumerate(first_seen) if v != root})
-
-
-def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
-    """Spanning tree obtained by symmetrizing the least-neighbor map of a
-    traversal of g.
-
-    The least-neighbor walk checks the order as it goes: a vertex that no
-    earlier vertex touched leaves its prefix disconnected, so the order is
-    not a traversal and ``ValueError`` is raised, as it is for an order that
-    is not a permutation and for the empty graph."""
-    n = g.vertex_count
-    if not is_permutation(order, n):
-        raise ValueError("order must be a permutation of the vertices")
-    if n == 0:
-        raise ValueError("no traversals of the empty graph")
-    adjacency = g.adjacency
-    root = order[0]
-    parent = [-1] * n
+    # neighbor; the root is pre-set so it keeps itself.
+    parent = [-1] * g.vertex_count
     parent[root] = root
     for u in order:
         if parent[u] < 0:
@@ -318,8 +279,10 @@ def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
         for w in adjacency[u]:
             if parent[w] < 0:
                 parent[w] = u
-    # Each vertex but the root adds the edge to its parent, which came
-    # earlier in the order, so no edge is added twice.
-    edges = [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if v != root]
-    edges.sort()
-    return OrderedGraph._canonical(n, tuple(edges))
+    return LeastNeighborMap(root, tuple(parent))
+
+
+def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
+    """Spanning tree obtained by symmetrizing the least-neighbor map of a
+    traversal of g; raises ``ValueError`` as ``least_neighbor_map`` does."""
+    return OrderedGraph._canonical(g.vertex_count, least_neighbor_map(g, order).edges())

@@ -169,8 +169,12 @@ def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
     """Truncated witness for target order type w*m + n at depth k."""
     _check_envelope(m, n, k)
     part = _build(m, n, k)
+    # _build lists each edge once, but not all as (min, max): normalize and
+    # sort once, and skip the checking constructor.
+    edges = [(u, v) if u < v else (v, u) for u, v in part.edges]
+    edges.sort()
     return WitnessBuild(
-        graph=OrderedGraph(part.size, part.edges),
+        graph=OrderedGraph._canonical(part.size, tuple(edges)),
         predicted=part.predicted,
         blocks=part.blocks,
         m=m,
@@ -263,8 +267,8 @@ def build_padded_graph(g: OrderedGraph, extra: int) -> OrderedGraph:
     if extra == 0:
         return g
     n = g.vertex_count
-    new_edges = g.edges + tuple((0, n + i) for i in range(extra))
-    return OrderedGraph(n + extra, new_edges)
+    edges = sorted(g.edges + tuple((0, n + i) for i in range(extra)))
+    return OrderedGraph._canonical(n + extra, tuple(edges))
 
 
 def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
@@ -278,10 +282,12 @@ def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
         raise ValueError("tree too large (branching**depth must be <= 10**6)")
     total = (branching ** (depth + 1) - 1) // (branching - 1)
     internal = (branching**depth - 1) // (branching - 1)
+    # Parents ascend and each one's children ascend above it, so the edges
+    # come out canonical.
     edges = tuple(
         (v, branching * v + 1 + j) for v in range(internal) for j in range(branching)
     )
-    return OrderedGraph(total, edges)
+    return OrderedGraph._canonical(total, edges)
 
 
 def format_manifest(build: WitnessBuild) -> str:

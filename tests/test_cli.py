@@ -436,6 +436,103 @@ def test_graph_text_fuzz_exits_0_or_2(text, argv):
         assert 1 <= lineno <= max(1, len(text.splitlines()))
 
 
+def ordinal_text():
+    """Ordinal text: mostly tokens of the grammar, some arbitrary text."""
+    token = st.sampled_from(["w", "^", "*", "+", "(", ")", "0", "1", "2", "9", "07", " ", "\u00b2", "x"])
+    return st.one_of(st.lists(token, max_size=16).map("".join), st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordinal_text())
+def test_ordinal_text_fuzz_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["zeta", text])
+        except SystemExit as exc:  # text that argparse reads as an option
+            code = exc.code
+    message = err.getvalue()
+    assert code in (0, 2), message
+    assert "Traceback" not in message
+    if code == 0:
+        assert message == "" and out.getvalue().endswith("\n")
+    elif "(at position " in message:
+        position = int(message.rsplit("(at position ", 1)[1].split(")")[0])
+        assert 0 <= position <= len(text)
+
+
+# Every subcommand but selftest, with its options: None marks a flag, a list
+# the choices an option offers, "n" an option that takes a number, "order"
+# one that takes several.  Numbers stay small, so no build or enumeration
+# grows exponentially.
+FUZZ_OPTIONS = {
+    "search": {"--start": "n", "--trace": None},
+    "bfs": {"--start": "n", "--trace": None},
+    "alt": {"--start": "n", "--stats": None},
+    "tree": {"--traversal": None, "--bfs": None, "--start": "n", "--dot": None},
+    "check": {"--order": "order", "--kind": ["traversal", "bfs", "dfs"]},
+    "enumerate": {"--kind": ["all", "bfs", "dfs"], "--start": "n"},
+    "verify": {
+        "--suite": ["lexmin", "colexmax", "stability", "identities"],
+        "--seed": "n",
+        "--probes": "n",
+    },
+    "witness": {"--m": "n", "--n": "n", "--k": "n", "--verify": None},
+    "zeta": {},
+    "random": {"--n": "n", "--density": "n", "--seed": "n"},
+}
+FUZZ_REQUIRED = {"--order", "--kind", "--suite", "--m", "--n", "--k", "--density"}
+FUZZ_TOKENS = [str(i) for i in range(10)] + ["-1", "x", "w+1"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, its positional argument (the six-vertex graph file,
+    stdin or a missing file), its required options and a random subset of
+    the others, with values drawn from the tokens or the option's choices
+    (or "x"), and sometimes one stray word."""
+    token = st.sampled_from(FUZZ_TOKENS)
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = FUZZ_OPTIONS[command]
+    argv = [command]
+    if command == "zeta":
+        argv.append(draw(token))
+    elif command not in ("witness", "random"):
+        argv.append(draw(st.sampled_from(["{six}", "-", "x"])))
+    for name, value in options.items():
+        if name not in FUZZ_REQUIRED and not draw(st.booleans()):
+            continue
+        argv.append(name)
+        if value == "n":
+            argv.append(draw(token))
+        elif value == "order":
+            argv.extend(draw(st.lists(token, min_size=1, max_size=7)))
+        elif value is not None:
+            argv.append(draw(st.sampled_from([*value, "x"])))
+    if draw(st.integers(0, 3)) == 0:
+        word = draw(st.sampled_from([*options, *FUZZ_TOKENS, "{six}", "-"]))
+        argv.insert(draw(st.integers(1, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzz_argv())
+def test_argv_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
+    six = tmp_path_factory.getbasetemp() / "six.g"
+    if not six.exists():
+        six.write_text(SIX)
+    argv = [word.format(six=six) for word in argv]
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(SIX)), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, message)
+    assert "Traceback" not in message
+
+
 class TestSelftest:
     def test_single_criterion(self, capsys):
         code, out, _ = run(capsys, "selftest", "--only", "1")

@@ -63,19 +63,7 @@ class TestReach:
         assert reach(six_cycle_tail, 3) == bytearray([1] * 6)
         assert reach(OrderedGraph(4, ((0, 2),)), 2) == bytearray([1, 0, 1, 0])
 
-    def test_updates_the_given_marks(self, six_cycle_tail):
-        # With 5 marked, 0 reaches 1, 2, 4 but not 3, which hangs off 5.
-        marks = bytearray(6)
-        marks[5] = 1
-        assert reach(six_cycle_tail, 0, marks) is marks
-        assert marks == bytearray([1, 1, 1, 0, 1, 1])
-
-    def test_start_is_marked_even_if_walled_in(self):
-        assert reach(path_graph(3), 1, bytearray([1, 0, 1])) == bytearray([1, 1, 1])
-        assert reach(path_graph(3), 0, bytearray([0, 1, 0])) == bytearray([1, 1, 0])
-
-    @pytest.mark.parametrize("walls", [False, True], ids=["unmarked", "premarked"])
-    def test_agrees_with_networkx(self, walls):
+    def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(17)
         for _ in range(200):
@@ -83,15 +71,11 @@ class TestReach:
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.08]
             g = OrderedGraph(n, tuple(edges))
             start = rng.randrange(n)
-            marked = {v for v in range(n) if v != start and walls and rng.random() < 0.3}
             free = nx.Graph()
-            free.add_nodes_from(v for v in range(n) if v not in marked)
-            free.add_edges_from((u, v) for u, v in edges if u not in marked and v not in marked)
-            expected = nx.node_connected_component(free, start) | marked
-            marks = bytearray(n)
-            for v in marked:
-                marks[v] = 1
-            assert reach(g, start, marks) == bytearray(v in expected for v in range(n))
+            free.add_nodes_from(range(n))
+            free.add_edges_from(edges)
+            expected = nx.node_connected_component(free, start)
+            assert reach(g, start) == bytearray(v in expected for v in range(n))
 
 
 class TestNeighbors:
@@ -110,13 +94,11 @@ class TestNeighbors:
 
 
 def component_excluding(g, v, removed):
-    """The component of v once ``removed`` is deleted: reach from v with
-    ``removed`` pre-marked as a wall."""
-    marks = bytearray(g.vertex_count)
-    marks[removed] = 1
-    reach(g, v, marks)
-    marks[removed] = 0
-    return {u for u in range(g.vertex_count) if marks[u]}
+    """The component of v once ``removed`` is deleted: reach from v in the
+    subgraph the other vertices induce."""
+    sub, kept = induced_subgraph(g, [u for u in range(g.vertex_count) if u != removed])
+    marks = reach(sub, kept.index(v))
+    return {u for i, u in enumerate(kept) if marks[i]}
 
 
 class TestComponentExcluding:

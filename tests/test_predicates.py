@@ -34,6 +34,7 @@ from ordsearch.search import (
     bfs_search,
     deterministic_search,
     least_neighbor_map,
+    traversal_tree,
 )
 from ordsearch.witness import build_bfs_tree_witness
 
@@ -284,7 +285,7 @@ class TestExtremality:
     def test_each_verdict_judged_on_its_own(self, monkeypatch, six_cycle_tail):
         # A breadth-first kernel gone wrong fails its own verdict only; a
         # search kernel gone wrong fails both verdicts that read its order.
-        wrong = BfsTrace((0, 5, 1, 2, 3, 4), ())
+        wrong = BfsTrace((0, 5, 1, 2, 3, 4), six_cycle_tail)
         monkeypatch.setattr(predicates, "bfs_search", lambda g, start: wrong)
         assert verify_lex_min(six_cycle_tail) == {
             "lex-min-traversal": True,
@@ -315,7 +316,7 @@ class TestClosureSamples:
         parent = least_neighbor_map(six_cycle_tail, tau).parent
         closed = {4}
         while True:
-            extra = {parent[v] for v in closed if v in parent} - closed
+            extra = {parent[v] for v in closed} - closed
             if not extra:
                 break
             closed |= extra
@@ -401,9 +402,46 @@ class TestQuotientStability:
     @pytest.mark.parametrize("parts", [[{0}, {1, 2}, {3}], [{0}, {1}, {2, 3}]])
     def test_rejects_part_connected_only_through_another(self, parts):
         # On a star the leaves 1, 2, 3 are intervals of (0, 1, 2, 3) but
-        # meet only at the centre, which lies outside the part.
-        with pytest.raises(ValueError, match="connected"):
+        # meet only at the centre, which lies outside the part; the second
+        # leaf's parent is the centre, so the part is not closed.
+        with pytest.raises(ValueError, match="closed"):
             verify_quotient_stability(deterministic_search(star_graph(4)), parts)
+
+
+def test_closed_parts_are_connected_exhaustively():
+    # verify_quotient_stability checks no connectivity, because a part that
+    # is closed under the least-neighbor map except at its first element is
+    # connected.  Check that on every interval of the search run from 0 of
+    # every connected graph with n <= 6, against a bitmask flood fill.
+    closed_parts = 0
+    for n in range(1, 7):
+        for g in all_connected_graphs(n):
+            neighbors = [0] * n
+            for u, v in g.edges:
+                neighbors[u] |= 1 << v
+                neighbors[v] |= 1 << u
+            run = deterministic_search(g)
+            tau, positions, parent = run.visit_order, run.positions, run.least_neighbors.parent
+            for i in range(n):
+                part = 0
+                for j in range(i, n):
+                    # Parents come earlier, so a part stays closed until a
+                    # new last element's parent falls before the part.
+                    if j > i and positions[parent[tau[j]]] < i:
+                        break
+                    part |= 1 << tau[j]
+                    reached = 1 << tau[i]
+                    while True:
+                        grown = reached
+                        for v in range(n):
+                            if reached >> v & 1:
+                                grown |= neighbors[v] & part
+                        if grown == reached:
+                            break
+                        reached = grown
+                    assert reached == part, (g, tau[i : j + 1])
+                    closed_parts += 1
+    assert closed_parts == 361_608
 
 
 def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
@@ -415,6 +453,35 @@ def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
     ):
         with pytest.raises(ValueError, match="from vertex 0, not from 1"):
             verdict()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        is_traversal,
+        has_decreasing_neighbors,
+        is_breadth_first,
+        breadth_first_triple_condition,
+        is_depth_first,
+        least_neighbor_map,
+        traversal_tree,
+        lambda g, order: level_decomposition(g, order, 0),
+    ],
+    ids=[
+        "is_traversal",
+        "has_decreasing_neighbors",
+        "is_breadth_first",
+        "breadth_first_triple_condition",
+        "is_depth_first",
+        "least_neighbor_map",
+        "traversal_tree",
+        "level_decomposition",
+    ],
+)
+def test_empty_graph_has_no_traversals(call):
+    with pytest.raises(ValueError) as exc:
+        call(OrderedGraph(0), ())
+    assert str(exc.value) == "no traversals of the empty graph"
 
 
 class TestLevelDecomposition:

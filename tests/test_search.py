@@ -13,9 +13,8 @@ from ordsearch.graph import (
     random_connected_graph,
     relabel,
 )
-from ordsearch.predicates import is_traversal
+from ordsearch.predicates import is_breadth_first, is_traversal
 from ordsearch.search import (
-    ChoiceStage,
     alt_search,
     alt_search_with_counts,
     bfs_search,
@@ -74,6 +73,20 @@ def connected_small_graphs():
                 yield g
 
 
+def random_traversal(g, rng):
+    """A traversal of connected g drawn step by step: a random start, then
+    each time a random unplaced vertex with a placed neighbor."""
+    start = rng.randrange(g.vertex_count)
+    order, placed = [start], {start}
+    while len(order) < g.vertex_count:
+        v = rng.choice(
+            [v for v in range(g.vertex_count) if v not in placed and placed.intersection(g.adjacency[v])]
+        )
+        order.append(v)
+        placed.add(v)
+    return tuple(order)
+
+
 def random_graphs_with_long_names(seed, count):
     """Random connected graphs on 11 to 200 vertices, so vertex names have
     two or three digits, sparse and dense alike; each with a random start."""
@@ -88,7 +101,6 @@ def assert_matches_brute_force(g, start):
     order, frontiers = brute_force_stage_simulation(g, start)
     trace = deterministic_search(g, start)
     assert trace.visit_order == order
-    assert list(trace.stages()) == [ChoiceStage(v, f) for v, f in zip(order, frontiers)]
     assert trace.stage_lines() == [
         f"stage {i}: pick {v} from {{{' '.join(map(str, f))}}}"
         for i, (v, f) in enumerate(zip(order, frontiers))
@@ -140,13 +152,18 @@ class TestDeterministicSearch:
 
     def test_trace_records_choice_per_stage(self, six_cycle_tail):
         trace = deterministic_search(six_cycle_tail)
-        stages = list(trace.stages())
-        assert len(stages) == 6
-        for i, stage in enumerate(stages):
-            assert stage.chosen == trace.visit_order[i]
-            assert stage.chosen in stage.frontier
-            assert stage.chosen == min(stage.frontier)
-        assert stages[1].frontier == (1, 5)
+        lines = trace.stage_lines()
+        assert len(lines) == 6
+        frontiers = []
+        for i, line in enumerate(lines):
+            head, _, rest = line.partition(": pick ")
+            chosen, _, frontier = rest.partition(" from ")
+            frontier = tuple(map(int, frontier.strip("{}").split()))
+            assert head == f"stage {i}"
+            assert int(chosen) == trace.visit_order[i]
+            assert int(chosen) == min(frontier)
+            frontiers.append(frontier)
+        assert frontiers[1] == (1, 5)
 
     def test_stage_lines(self):
         trace = deterministic_search(path_graph(2))
@@ -188,14 +205,21 @@ class TestBfsSearch:
         for _ in range(40):
             g = random_connected_graph(rng.randint(1, 15), 0.3, rng.randint(0, 9999))
             trace = bfs_search(g)
-            stages = list(trace.stages())
-            assert stages[-1].queue == trace.visit_order[: trace.queue_lengths[-1]]
-            assert trace.queue_lengths[-1] == g.vertex_count
-            # queues end-extend and the processed set is always a prefix
-            for alpha, stage in enumerate(stages):
-                assert stage.prefix_len == alpha
-                assert stage.q == trace.visit_order[alpha]
-                assert len(stage.queue) >= alpha + 1
+            lines = trace.stage_lines()
+            assert len(lines) == g.vertex_count
+            queues = []
+            for alpha, line in enumerate(lines):
+                head, _, rest = line.partition(" Q=(")
+                queue, _, q = rest.partition(") q=")
+                queues.append(tuple(map(int, queue.split())))
+                # the processed set is always a prefix of the queue
+                assert head == f"stage {alpha}: B={alpha}"
+                assert int(q) == trace.visit_order[alpha]
+                assert len(queues[-1]) >= alpha + 1
+            # queues end-extend, up to the visit order
+            for queue in queues:
+                assert queue == trace.visit_order[: len(queue)]
+            assert queues[-1] == trace.visit_order
 
     def test_stage_lines(self, six_cycle_tail):
         lines = bfs_search(six_cycle_tail).stage_lines()
@@ -258,22 +282,23 @@ class TestAltSearch:
 
 
 class TestLeastNeighborMap:
+    # parent is indexed by vertex, and the root maps to itself.
     def test_six_cycle_tail_search_order(self, six_cycle_tail):
         m = least_neighbor_map(six_cycle_tail, (0, 1, 2, 4, 5, 3))
         assert m.root == 0
-        assert m.parent == {1: 0, 2: 1, 4: 2, 5: 0, 3: 5}
+        assert m.parent == (0, 0, 1, 5, 2, 0)
 
     def test_six_cycle_tail_bfs_order(self, six_cycle_tail):
         m = least_neighbor_map(six_cycle_tail, (0, 1, 5, 2, 3, 4))
-        assert m.parent == {1: 0, 2: 1, 4: 5, 5: 0, 3: 5}
+        assert m.parent == (0, 0, 1, 5, 5, 0)
 
     def test_path_identity(self):
         m = least_neighbor_map(path_graph(4), (0, 1, 2, 3))
-        assert m.parent == {i: i - 1 for i in range(1, 4)}
+        assert m.parent == (0, 0, 1, 2)
 
     def test_triangle_identity(self):
         m = least_neighbor_map(cycle_graph(3), (0, 1, 2))
-        assert m.parent == {1: 0, 2: 0}
+        assert m.parent == (0, 0, 0)
 
     def test_rejects_isolated_non_first(self):
         g = OrderedGraph(2)
@@ -284,11 +309,14 @@ class TestLeastNeighborMap:
         rng = random.Random(29)
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 10), 0.5, rng.randint(0, 9999))
-            order = list(range(g.vertex_count))
-            rng.shuffle(order)
+            order = random_traversal(g, rng)
             positions = invert_permutation(order)
-            m = least_neighbor_map(g, tuple(order))
-            for v, p in m.parent.items():
+            m = least_neighbor_map(g, order)
+            assert m.root == order[0]
+            for v, p in enumerate(m.parent):
+                if v == m.root:
+                    assert p == v
+                    continue
                 assert p in g.adjacency[v]
                 assert all(positions[p] <= positions[u] for u in g.adjacency[v])
 
@@ -311,7 +339,8 @@ class TestTraversalTree:
 
     def test_rejects_what_is_traversal_rejects(self):
         # Every graph and every order on up to five vertices, connected or
-        # not: the walk's check must agree with the prefix test.
+        # not: the walk's check must agree with the prefix test, in
+        # traversal_tree, least_neighbor_map and is_breadth_first alike.
         for n in range(1, 6):
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
@@ -320,9 +349,11 @@ class TestTraversalTree:
                     if is_traversal(g, order):
                         tree = traversal_tree(g, order)
                         assert tree == OrderedGraph(n, least_neighbor_map(g, order).edges())
-                    else:
+                        is_breadth_first(g, order)  # judged, not rejected
+                        continue
+                    for call in (traversal_tree, least_neighbor_map, is_breadth_first):
                         with pytest.raises(ValueError) as exc:
-                            traversal_tree(g, order)
+                            call(g, order)
                         assert str(exc.value) == "order is not a traversal of the graph"
 
     @pytest.mark.parametrize(
@@ -332,9 +363,10 @@ class TestTraversalTree:
     def test_input_errors_match_is_traversal(self, g, order):
         with pytest.raises(ValueError) as expected:
             is_traversal(g, order)
-        with pytest.raises(ValueError) as exc:
-            traversal_tree(g, order)
-        assert str(exc.value) == str(expected.value)
+        for call in (traversal_tree, least_neighbor_map, is_breadth_first):
+            with pytest.raises(ValueError) as exc:
+                call(g, order)
+            assert str(exc.value) == str(expected.value)
 
     def test_trees_of_search_runs_are_canonical(self):
         for g, start in random_graphs_with_long_names(47, 30):
@@ -417,7 +449,7 @@ class TestFixedPointLaws:
                 assert is_traversal(g, order)
                 positions = invert_permutation(order)
                 parents = least_neighbor_map(g, order).parent
-                assert all(positions[p] < positions[v] for v, p in parents.items())
+                assert all(positions[parents[v]] < positions[v] for v in order[1:])
 
     def test_complete_graph_identity(self):
         g = complete_graph(5)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import path_graph, star_graph
+from ordsearch.acceptance import _witness_grid
 from ordsearch.graph import OrderedGraph, random_connected_graph
 from ordsearch.ordinal import Ordinal
 from ordsearch.predicates import level_decomposition, verify_quotient_stability
@@ -193,6 +194,25 @@ class TestBfsTreeWitness:
             build_bfs_tree_witness(1, 3)
         with pytest.raises(ValueError):
             build_bfs_tree_witness(10, 7)
+
+
+def test_builders_emit_canonical_graphs():
+    # The builders skip the checking constructor, so each graph must equal
+    # the one that constructor makes from the same edges: normalized, without
+    # duplicates, sorted.
+    def assert_canonical(g):
+        assert OrderedGraph(g.vertex_count, g.edges) == g
+
+    for m, n, k in _witness_grid():
+        assert_canonical(build_zeta_witness(m, n, k).graph)
+    for b in (2, 3, 4):
+        for d in range(1, 7):
+            assert_canonical(build_bfs_tree_witness(b, d))
+    rng = random.Random(55)
+    for _ in range(30):
+        g = random_connected_graph(rng.randint(1, 30), 0.3, rng.randint(0, 9999))
+        assert_canonical(build_padded_graph(g, rng.randint(1, 6)))
+    assert_canonical(build_padded_graph(build_zeta_witness(2, 1, 3).graph, 4))
 
 
 class TestManifest:
