@@ -108,8 +108,10 @@ def is_breadth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     """Breadth-first test via the least-neighbor map: parents' positions must
     be weakly increasing along the order.  The map's walk raises
     ``ValueError`` on an order that is not a traversal."""
-    parent = least_neighbor_map(g, order).parent
-    positions = invert_permutation(order)
+    return _parents_in_order(order, invert_permutation(order), least_neighbor_map(g, order).parent)
+
+
+def _parents_in_order(order: Sequence[int], positions: Sequence[int], parent: Sequence[int]) -> bool:
     last = -1
     for v in order[1:]:
         p = positions[parent[v]]
@@ -343,19 +345,39 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
     stays inside the part and descends in the order to the first element,
     along graph edges.  So partition, interval and closure are checked, and
     connectivity follows."""
-    g = run.graph
     part_sets = [set(p) for p in parts]
-    flat = [v for p in part_sets for v in p]
-    if sorted(flat) != list(range(g.vertex_count)):
+    if not _is_partition(part_sets, run.graph.vertex_count):
         raise ValueError("parts do not partition the vertex set")
-    tau, positions, parent = _run_facts(run)
+    tau, positions, _ = _run_facts(run)
+    return _quotient_stable(run, part_sets, _interval_anchors(tau, positions, part_sets))
+
+
+def _is_partition(part_sets: Sequence[set[int]], vertex_count: int) -> bool:
+    return sorted(v for part in part_sets for v in part) == list(range(vertex_count))
+
+
+def _interval_anchors(
+    tau: Traversal, positions: Sequence[int], part_sets: Sequence[set[int]]
+) -> list[int | None]:
+    """Each part's first vertex in the order tau, or None for a part that is
+    not an interval of tau."""
     anchors = []
-    for i, part in enumerate(part_sets):
+    for part in part_sets:
         by_pos = sorted(positions[v] for v in part)
-        if by_pos[-1] - by_pos[0] + 1 != len(part):
+        anchors.append(tau[by_pos[0]] if by_pos[-1] - by_pos[0] + 1 == len(part) else None)
+    return anchors
+
+
+def _quotient_stable(
+    run: SearchTrace, part_sets: Sequence[set[int]], anchors: Sequence[int | None]
+) -> bool:
+    """``verify_quotient_stability`` on a partition of the vertex set, with
+    each part's anchor from ``_interval_anchors``."""
+    g = run.graph
+    _, positions, parent = _run_facts(run)
+    for i, (part, anchor) in enumerate(zip(part_sets, anchors)):
+        if anchor is None:
             raise ValueError(f"part {i} is not an interval of the traversal")
-        anchor = tau[by_pos[0]]
-        anchors.append(anchor)
         for v in part:
             if v != anchor and parent[v] not in part:
                 raise ValueError(
@@ -402,7 +424,9 @@ def level_decomposition(
     graphs: each level is an interval of the order, levels appear in
     increasing distance order, and the least-neighbor map drops every vertex
     exactly one level."""
-    if not is_breadth_first(g, order):
+    parent = least_neighbor_map(g, order).parent
+    positions = invert_permutation(order)
+    if not _parents_in_order(order, positions, parent):
         raise ValueError("order is not a breadth-first traversal")
     if order[0] != root:
         raise ValueError("order does not start at the root")
@@ -422,7 +446,6 @@ def level_decomposition(
     acyclic = len(g.edges) == g.vertex_count - 1
     if not acyclic:
         return tuple(levels), LevelVerdict(False, None, None, None)
-    positions = invert_permutation(order)
     intervals = True
     in_order = True
     bounds = []
@@ -434,7 +457,6 @@ def level_decomposition(
     for (lo1, hi1), (lo2, hi2) in zip(bounds, bounds[1:]):
         if hi1 >= lo2:
             in_order = False
-    parent = least_neighbor_map(g, order).parent
     parents_up = all(
         parent[v] in levels[i - 1] for i in range(1, len(levels)) for v in levels[i]
     )

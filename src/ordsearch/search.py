@@ -194,13 +194,39 @@ def alt_search(g: OrderedGraph, start: int = 0) -> Traversal:
 
 
 def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, dict[str, int]]:
-    """As alt_search, also returning crude work counters: ``splits`` is the
-    number of two-way splits performed and ``scanned`` the total size of the
-    vertex sets that were split.
+    """As alt_search, also returning work counters: ``splits`` is the
+    number of two-way splits performed, n-1, and ``scanned`` the total size
+    of the vertex sets that were split.
 
-    Every split scans its vertex set and the edges inside it, and the split
-    chain can be as long as the vertex count, so the run takes O(n*(n+m))
-    time; memory stays O(n+m).
+    A split of the set S from v removes w, the greatest member but v, and
+    finds X, v's component of S - w.  Each component of S - w holds a
+    neighbor of w, so one search runs from each such neighbor, one vertex
+    per search in turn, and two searches that meet become one.  Once at
+    most one search is still running, every finished search is a whole
+    component: if v's is among them it is X, otherwise the rest of S is w
+    and the finished components.  Only that finished side is relabeled and
+    gets a new member list; the other side keeps S's list, and vertices
+    that left it are dropped as they surface at its end.
+
+    Cost, with vol(S) the sum of the degrees in S:
+
+    * the searches of a split claim, pop and read the adjacency of each
+      vertex of S at most once, O(|S| + vol(S));
+    * a split merges searches at most deg(w) - 1 times, each time moving
+      the shorter frontier and one search's seeds, O(|S| + deg(w)); a
+      vertex is w in at most one split, since it then starts its side, so
+      all merges together cost O(sum of deg(w) * n) = O(n*m);
+    * the finished side is sorted only when that costs no more than a pass
+      over S's list, and S's list is rebuilt when more than half of it
+      would be vertices that left, so no list exceeds twice its side's
+      size and its upkeep is O(|S|) per split.
+
+    A vertex lies in at most n-1 split sets, so the run takes O(n*(n+m))
+    time, the bound of rescanning every split set, and O(n+m) memory.  The
+    searches seldom come near it, but they do not reach O((n+m) log n)
+    either: when S - w stays connected, w's neighbors race until they all
+    meet, and on sparse random graphs of mean degree 6 the searches pop
+    roughly n**1.5 / 2 vertices in all (README.md has the measurements).
     """
     _check_start(g, start)
     n = g.vertex_count
@@ -208,35 +234,102 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     reached = reach(g, start)
     if 0 in reached:
         raise DisconnectedGraphError(reached.index(0), start)
-    splits = scanned = 0
+    scanned = 0
     order: list[int] = []
     # owner[u] is the id of the pending subproblem that holds u.  Each
-    # subproblem is (sorted member list, vertex to start from, id); the lists
-    # on the stack are disjoint.  An explicit stack, because the split chain
-    # can be as long as the vertex count.
+    # subproblem is (id, vertex to start from, size, ascending list holding
+    # its members and vertices that have since moved to another id).  An
+    # explicit stack, because the split chain can be as long as the vertex
+    # count.
     owner = [0] * n
-    stack: list[tuple[list[int], int, int]] = [(list(range(n)), start, 0)]
+    last_id = 0
+    # In a race, mark[x] - base is the seed whose search reached x; marks
+    # below base are from earlier races.
+    mark = [-1] * n
+    base = 0
+    stack: list[tuple[int, int, int, list[int]]] = [(0, start, n, list(range(n)))]
     while stack:
-        members, v, mid = stack.pop()
-        if len(members) == 1:
-            order.append(v)
-            continue
-        w = members[-1] if members[-1] != v else members[-2]
-        # v's component without w becomes the new subproblem xid; the rest,
-        # w included, keeps the id mid.
-        splits += 1
-        scanned += len(members)
-        xid = splits
-        owner[v] = xid
-        todo = [v]
-        while todo:
-            for x in adjacency[todo.pop()]:
-                if owner[x] == mid and x != w:
-                    owner[x] = xid
-                    todo.append(x)
-        stack.append(([u for u in members if owner[u] == mid], w, mid))
-        stack.append(([u for u in members if owner[u] == xid], v, xid))
-    return tuple(order), {"splits": splits, "scanned": scanned}
+        mid, v, size, members = stack.pop()
+        while size > 1:
+            scanned += size
+            while owner[members[-1]] != mid:
+                members.pop()
+            if members[-1] == v:
+                members.pop()
+                while owner[members[-1]] != mid:
+                    members.pop()
+                w = members[-1]
+                members.append(v)
+            else:
+                w = members[-1]
+            seeds = [x for x in adjacency[w] if owner[x] == mid]
+            k = len(seeds)
+            if k == 1:
+                # S - w is connected: X is all of it.
+                moved = [w]
+                v_moves = False
+            else:
+                owner[w] = -1
+                for j, x in enumerate(seeds, base):
+                    mark[x] = j
+                root = list(range(k))
+                group = [[j] for j in range(k)]
+                frontier = [[x] for x in seeds]
+                claimed = [[x] for x in seeds]
+                running = list(range(k))
+                while len(running) > 1:
+                    for r in running:
+                        todo = frontier[r]
+                        if root[r] != r or not todo:
+                            continue
+                        for x in adjacency[todo.pop()]:
+                            if owner[x] == mid:
+                                j = mark[x] - base
+                                if j < 0:
+                                    mark[x] = base + r
+                                    todo.append(x)
+                                    claimed[r].append(x)
+                                elif root[j] != r:
+                                    # The searches meet: the one with the
+                                    # shorter frontier joins the other.
+                                    q = root[j]
+                                    if len(frontier[q]) > len(todo):
+                                        r, q = q, r
+                                        todo = frontier[r]
+                                    for i in group[q]:
+                                        root[i] = r
+                                    group[r] += group[q]
+                                    todo += frontier[q]
+                                    frontier[q] = []
+                    running = [r for r in running if root[r] == r and frontier[r]]
+                j = mark[v] - base
+                v_moves = j >= 0 and not frontier[root[j]]
+                if v_moves:
+                    moved = [x for i in group[root[j]] for x in claimed[i]]
+                    owner[w] = mid
+                else:
+                    moved = [w]
+                    moved += [x for i in range(k) if not frontier[root[i]] for x in claimed[i]]
+                base += k
+            last_id += 1
+            for x in moved:
+                owner[x] = last_id
+            count = len(moved)
+            if count * count.bit_length() <= len(members) <= 2 * (size - count):
+                moved.sort()
+            else:
+                # Sorting would cost more than a pass over S's list, or the
+                # list would hold more vertices that left than members.
+                moved = [x for x in members if owner[x] == last_id]
+                members = [x for x in members if owner[x] == mid]
+            if v_moves:
+                stack.append((mid, w, size - count, members))
+                mid, size, members = last_id, count, moved
+            else:
+                stack.append((last_id, w, count, moved))
+                size -= count
+        order.append(v)
+    return tuple(order), {"splits": n - 1, "scanned": scanned}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .graph import OrderedGraph, Traversal, serialize
 from .ordinal import OMEGA, Ordinal, zeta
-from .predicates import verify_quotient_stability
+from .predicates import _interval_anchors, _is_partition, _quotient_stable
 from .search import deterministic_search
 
 MAX_M = 3
@@ -228,21 +228,18 @@ def verify_witness(build: WitnessBuild) -> WitnessVerdict:
     actual = run.visit_order
     predicted_ok = actual == build.predicted
 
-    positions = run.positions
-    blocks_ok = True
-    covered: list[int] = []
-    for block in build.blocks:
-        covered.extend(block.members)
-        ps = sorted(positions[v] for v in block.members)
-        if ps[-1] - ps[0] + 1 != len(ps):
-            blocks_ok = False
-        if block.members[0] != block.anchor or actual[ps[0]] != block.anchor:
-            blocks_ok = False
-    if sorted(covered) != list(range(build.graph.vertex_count)):
-        blocks_ok = False
-
+    # The block certificate and the quotient check share one partition and
+    # interval check.  The blocks' member lists partition the vertices iff
+    # their sets do and no list repeats a member.
+    parts = [set(b.members) for b in build.blocks]
+    anchors = _interval_anchors(actual, run.positions, parts)
+    partition = _is_partition(parts, build.graph.vertex_count)
+    blocks_ok = partition and all(
+        len(part) == len(block.members) and block.members[0] == block.anchor == anchor
+        for block, part, anchor in zip(build.blocks, parts, anchors)
+    )
     try:
-        quotient_ok = verify_quotient_stability(run, [set(b.members) for b in build.blocks])
+        quotient_ok = partition and _quotient_stable(run, parts, anchors)
     except ValueError:
         quotient_ok = False
 

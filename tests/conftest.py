@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from ordsearch.graph import OrderedGraph
+from ordsearch.graph import OrderedGraph, is_connected
 
 
 def path_graph(n: int) -> OrderedGraph:
@@ -18,6 +20,17 @@ def complete_graph(n: int) -> OrderedGraph:
 def star_graph(n: int) -> OrderedGraph:
     """Center 0 with n - 1 leaves."""
     return OrderedGraph(n, tuple((0, i) for i in range(1, n)))
+
+
+def all_connected_graphs(n):
+    """Every labeled connected graph on n vertices (brute force over edge
+    subsets)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+        g = OrderedGraph(n, edges)
+        if n == 1 or is_connected(g):
+            yield g
 
 
 @pytest.fixture

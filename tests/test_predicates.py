@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, star_graph
 from ordsearch.graph import (
     DisconnectedGraphError,
     OrderedGraph,
-    is_connected,
     random_connected_graph,
 )
 from ordsearch.predicates import (
@@ -37,17 +36,6 @@ from ordsearch.search import (
     traversal_tree,
 )
 from ordsearch.witness import build_bfs_tree_witness
-
-
-def all_connected_graphs(n):
-    """Every labeled connected graph on n vertices (brute force over edge
-    subsets)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        g = OrderedGraph(n, edges)
-        if n == 1 or is_connected(g):
-            yield g
 
 
 def permutation_filter(g, predicate, fixed_start=None):
@@ -492,6 +480,18 @@ class TestLevelDecomposition:
         assert [len(l) for l in levels] == [1, 2, 4]
         assert verdict.acyclic
         assert verdict.all_pass()
+
+    def test_walks_the_least_neighbor_map_once(self, monkeypatch):
+        walks = []
+
+        def counting(g, order):
+            walks.append(order)
+            return least_neighbor_map(g, order)
+
+        monkeypatch.setattr(predicates, "least_neighbor_map", counting)
+        g = build_bfs_tree_witness(2, 3)
+        assert level_decomposition(g, bfs_search(g).visit_order, 0)[1].all_pass()
+        assert len(walks) == 1
 
     def test_single_vertex(self):
         levels, verdict = level_decomposition(OrderedGraph(1), (0,), 0)

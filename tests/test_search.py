@@ -3,8 +3,9 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, star_graph
 from ordsearch.graph import (
     DisconnectedGraphError,
     OrderedGraph,
@@ -271,14 +272,124 @@ class TestAltSearch:
         assert alt_search(g) == tuple(range(n))
 
     def test_counts(self, six_cycle_tail):
+        # The split sets are {0..5}, {0,1,2,4}, {0,1,2}, {0,1} and {5,3}.
         order, counts = alt_search_with_counts(six_cycle_tail)
         assert order == (0, 1, 2, 4, 5, 3)
-        assert counts["splits"] == 5
-        assert counts["scanned"] > 0
+        assert counts == {"splits": 5, "scanned": 6 + 4 + 3 + 2 + 2}
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             alt_search(OrderedGraph(3, ((0, 1),)))
+
+
+def rescanning_alt(g, start):
+    """Reference for ``alt_search_with_counts`` on a connected graph: every
+    split filters its whole member list and searches v's side anew,
+    O(n*(n+m)), and returns the same order and counters."""
+    splits = scanned = 0
+    order = []
+    owner = [0] * g.vertex_count
+    stack = [(list(range(g.vertex_count)), start, 0)]
+    while stack:
+        members, v, mid = stack.pop()
+        if len(members) == 1:
+            order.append(v)
+            continue
+        w = members[-1] if members[-1] != v else members[-2]
+        splits += 1
+        scanned += len(members)
+        xid = splits
+        owner[v] = xid
+        todo = [v]
+        while todo:
+            for x in g.adjacency[todo.pop()]:
+                if owner[x] == mid and x != w:
+                    owner[x] = xid
+                    todo.append(x)
+        stack.append(([u for u in members if owner[u] == mid], w, mid))
+        stack.append(([u for u in members if owner[u] == xid], v, xid))
+    return tuple(order), {"splits": splits, "scanned": scanned}
+
+
+@st.composite
+def connected_graphs_with_start(draw, max_n=40):
+    """A random spanning tree on a shuffled labeling plus random extra
+    edges, and a start vertex."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    return OrderedGraph(n, tuple(edges)), draw(st.integers(0, n - 1))
+
+
+def _peeling_path(n):
+    """The path 0, n-1, n-2, ..., 1: from 0 every split's X is v alone."""
+    return OrderedGraph(n, ((0, n - 1),) + tuple((i, i + 1) for i in range(1, n - 1)))
+
+
+def _cycle_with_hub(n, spacing):
+    """A cycle on 0..n-2 and the hub n-1 joined to every spacing-th cycle
+    vertex: the hub's neighbors lie far apart in one component, so the
+    first split's searches run a long way and merge many times."""
+    edges = [(i, i + 1) for i in range(n - 2)] + [(0, n - 2)]
+    edges += [(i, n - 1) for i in range(0, n - 1, spacing)]
+    return OrderedGraph(n, tuple(edges))
+
+
+def _theta(n, branches):
+    """branches paths of equal length between the hubs 0 and 1: each split
+    inside a branch leaves its two sides joined only around the far hub."""
+    length = (n - 2) // branches
+    edges = []
+    for b in range(branches):
+        inner = list(range(2 + b * length, 2 + (b + 1) * length))
+        edges += zip([0] + inner, inner + [1])
+    return OrderedGraph(2 + branches * length, tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+def _random_tree(n, seed):
+    """A random recursive tree on a shuffled labeling: removing a vertex
+    splits its side into one component per neighbor."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = ((label[i], label[rng.randrange(i)]) for i in range(1, n))
+    return OrderedGraph(n, tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+class TestAltAgainstRescanning:
+    """The split-side kernel against the rescanning reference: the same
+    order and the same counters."""
+
+    def test_every_connected_graph_to_five_vertices_from_every_start(self):
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                for start in range(n):
+                    assert alt_search_with_counts(g, start) == rescanning_alt(g, start), (g, start)
+
+    @settings(max_examples=400, deadline=None)
+    @given(connected_graphs_with_start())
+    def test_random_graphs_to_forty_vertices(self, case):
+        g, start = case
+        assert alt_search_with_counts(g, start) == rescanning_alt(g, start)
+
+    @pytest.mark.parametrize(
+        "g,starts",
+        [
+            pytest.param(path_graph(2000), (0, 999), id="path"),
+            pytest.param(star_graph(2000), (0, 1999), id="star"),
+            pytest.param(cycle_graph(2000), (0, 1000), id="cycle"),
+            pytest.param(_peeling_path(2000), (0,), id="peeling-path"),
+            pytest.param(_cycle_with_hub(2000, 40), (0, 1999), id="cycle-with-hub"),
+            pytest.param(_theta(2000, 8), (0, 500), id="theta"),
+            pytest.param(_random_tree(2000, 11), (0, 1234), id="random-tree"),
+            pytest.param(random_connected_graph(2000, 0.002, 12), (0,), id="sparse-random"),
+        ],
+    )
+    def test_large_graphs(self, g, starts):
+        for start in starts:
+            assert alt_search_with_counts(g, start) == rescanning_alt(g, start), start
 
 
 class TestLeastNeighborMap:
