@@ -33,7 +33,6 @@ from .predicates import (
 )
 from .search import (
     BfsTrace,
-    LeastNeighborMap,
     SearchTrace,
     alt_search,
     bfs_search,

@@ -4,7 +4,7 @@ algorithm equivalence, the fixed-point laws, stability, the witness builds,
 breadth-first level structure, and predicate equivalences.
 
 Each criterion is a function that raises AssertionError on failure; the
-brute-force sides of the checks (permutation filters, bitmask graph
+brute-force sides of the checks (prefix walks, bitmask graph
 enumeration, independent decompositions) are local to this module so they
 share no code path with the library routines they judge.
 """
@@ -79,36 +79,27 @@ def graph_from_adjacency(adj: list[int]) -> OrderedGraph:
     return OrderedGraph(n, tuple(edges))
 
 
-def _prefix_connected_throughout(adj: list[int], order: tuple[int, ...]) -> bool:
-    """Union-find connectivity of every prefix; no earlier-neighbor shortcut."""
-    n = len(order)
-    parent = list(range(n))
+def _traversals_from_zero(adj: list[int]) -> list[tuple[int, ...]]:
+    """Every traversal from vertex 0, in lexicographic order, grown one
+    vertex at a time: a connected prefix stays connected after adding u iff
+    u has a neighbor in it, so no other order is ever built."""
+    n = len(adj)
+    full = (1 << n) - 1
+    order = [0]
+    out = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def grow(placed: int) -> None:
+        if placed == full:
+            out.append(tuple(order))
+            return
+        for u in range(n):
+            if adj[u] & placed and not placed >> u & 1:
+                order.append(u)
+                grow(placed | 1 << u)
+                order.pop()
 
-    placed = 0
-    placed |= 1 << order[0]
-    components = 1
-    for v in order[1:]:
-        placed |= 1 << v
-        components += 1
-        nbs = adj[v] & placed
-        u = 0
-        while nbs:
-            if nbs & 1:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    components -= 1
-            nbs >>= 1
-            u += 1
-        if components != 1:
-            return False
-    return True
+    grow(1)
+    return out
 
 
 def _monotone_parents(adj: list[int], order: tuple[int, ...]) -> bool:
@@ -217,7 +208,8 @@ def criterion_lex_colex_exhaustive() -> None:
     """On every labeled connected graph with at most 6 vertices the search
     output is the lex-least traversal from 0, its inverse is colex-greatest,
     and the breadth-first output is lex-least among breadth-first traversals;
-    the other side of every comparison is permutation filtering."""
+    the other side of every comparison is a bitmask walk over connected
+    prefixes."""
     for n in range(1, 7):
         count = 0
         for adj in iter_connected_adjacency(n):
@@ -225,11 +217,7 @@ def criterion_lex_colex_exhaustive() -> None:
             g = graph_from_adjacency(adj)
             tau = deterministic_search(g).visit_order
             beta = bfs_search(g).visit_order
-            traversals = [
-                (0,) + rest
-                for rest in itertools.permutations(range(1, n))
-                if _prefix_connected_throughout(adj, (0,) + rest)
-            ]
+            traversals = _traversals_from_zero(adj)
             assert tau == min(traversals), (g, tau)
             assert tau == max(traversals, key=_colex_key), (g, tau)
             bf = [t for t in traversals if _monotone_parents(adj, t)]
@@ -326,9 +314,8 @@ def criterion_bfs_levels() -> None:
                 orders.append(tuple(perm))
             for perm in orders:
                 g = relabel(tree, perm)
-                root = perm.index(0)
-                visit = bfs_search(g, root).visit_order
-                levels, verdict = level_decomposition(g, visit, root)
+                visit = bfs_search(g, perm.index(0)).visit_order
+                levels, verdict = level_decomposition(g, visit)
                 assert verdict.all_pass(), (b, d, perm)
                 assert [len(l) for l in levels] == expected_sizes
 
@@ -389,14 +376,12 @@ def run_criterion(criterion: Criterion) -> tuple[bool, str]:
     return ok, line
 
 
-def run_all(
-    report: Callable[[str], None] = print, criteria: Iterable[Criterion] = CRITERIA
-) -> bool:
-    """Run the criteria (the whole suite by default), reporting one verdict
-    line each; True iff all passed inside their budgets."""
+def run_all(criteria: Iterable[Criterion]) -> bool:
+    """Run the criteria, printing one verdict line each; True iff all passed
+    inside their budgets."""
     all_ok = True
     for criterion in criteria:
         ok, line = run_criterion(criterion)
-        report(line)
+        print(line)
         all_ok = all_ok and ok
     return all_ok

@@ -6,10 +6,14 @@ rather than the shortcut "every vertex has an earlier neighbor", which is a
 separate predicate whose agreement with the first is itself a tested fact.
 
 Breadth-first and depth-first orders are characterized by the classical
-three-vertex conditions.  For breadth-first orders on vertex numbering there
-is an equivalent working form: the least-neighbor map is weakly monotone.
-The fast form is the default; the literal triple scan is kept alongside so
-the equivalence can be checked exhaustively.
+three-vertex conditions.  Each has an equivalent working form that one pass
+over the order checks.  Breadth-first: the least-neighbor map is weakly
+monotone.  Depth-first: each vertex after the first is a neighbor of the
+latest earlier vertex that still has an unplaced neighbor (the candidate
+rule of Corneil and Krueger, 2008), in O(n+m).  The working forms are the
+defaults; the literal breadth-first triple scan is kept alongside, and the
+tests keep a naive depth-first triple scan, so both equivalences are
+checked exhaustively.
 
 ``enumerate_traversals`` lists the orders of a kind in lexicographic order
 by one backtracking walk, lexicographic generation with restricted prefixes
@@ -26,7 +30,6 @@ walk, and ``verify_colex_max`` takes a maximum over it in O(n) memory.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 import random
 from typing import Iterable, Iterator, Sequence
@@ -99,16 +102,11 @@ def has_decreasing_neighbors(g: OrderedGraph, order: Sequence[int]) -> bool:
     return True
 
 
-def _require_traversal(g: OrderedGraph, order: Sequence[int]) -> None:
-    if not is_traversal(g, order):
-        raise ValueError("order is not a traversal of the graph")
-
-
 def is_breadth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     """Breadth-first test via the least-neighbor map: parents' positions must
     be weakly increasing along the order.  The map's walk raises
     ``ValueError`` on an order that is not a traversal."""
-    return _parents_in_order(order, invert_permutation(order), least_neighbor_map(g, order).parent)
+    return _parents_in_order(order, invert_permutation(order), least_neighbor_map(g, order))
 
 
 def _parents_in_order(order: Sequence[int], positions: Sequence[int], parent: Sequence[int]) -> bool:
@@ -124,7 +122,8 @@ def _parents_in_order(order: Sequence[int], positions: Sequence[int], parent: Se
 def breadth_first_triple_condition(g: OrderedGraph, order: Sequence[int]) -> bool:
     """The literal three-vertex breadth-first condition: whenever u < v < w,
     u and w adjacent but u and v not, some x < u must be adjacent to v."""
-    _require_traversal(g, order)
+    if not is_traversal(g, order):
+        raise ValueError("order is not a traversal of the graph")
     positions = invert_permutation(order)
     n = g.vertex_count
     for a in range(n):
@@ -141,28 +140,37 @@ def breadth_first_triple_condition(g: OrderedGraph, order: Sequence[int]) -> boo
 
 
 def is_depth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
-    """Depth-first test: whenever u < v < w, u and w adjacent but u and v
-    not, some x strictly between u and v must be adjacent to v."""
-    _require_traversal(g, order)
-    positions = invert_permutation(order)
-    n = g.vertex_count
-    last_nb = [max((positions[x] for x in g.adjacency[v]), default=-1) for v in order]
-    nb_positions = [sorted(positions[x] for x in g.adjacency[v]) for v in order]
-    for a in range(n):
-        u = order[a]
-        if last_nb[a] <= a:
-            continue
-        for b in range(a + 1, n):
-            v = order[b]
-            if g.has_edge(u, v):
-                continue
-            if last_nb[a] <= b:
-                continue
-            ps = nb_positions[b]
-            i = bisect_right(ps, a)
-            if i >= len(ps) or ps[i] >= b:
-                return False
-    return True
+    """Depth-first test by the candidate rule, in one O(n+m) pass: each
+    vertex after the first must be a neighbor of the latest earlier vertex
+    that still has an unplaced neighbor.  On traversals this is the
+    three-vertex condition (whenever u < v < w, u and w adjacent but u and v
+    not, some x strictly between u and v is adjacent to v).
+
+    Placed vertices wait on a stack and are popped once no neighbor of
+    theirs is left unplaced, so the top is the latest vertex that still has
+    one.  A vertex with no placed neighbor leaves its prefix disconnected,
+    and the pass raises ``ValueError`` with ``is_traversal``'s message; it
+    runs on after the rule first fails, so that error is not missed."""
+    _require_order(g, order)
+    adjacency = g.adjacency
+    # left[u] counts u's unplaced neighbors.
+    left = [len(nbs) for nbs in adjacency]
+    depth_first = True
+    stack: list[int] = []
+    for v in order:
+        nbs = adjacency[v]
+        # The stack is empty only before the first vertex.
+        if stack:
+            if left[v] == len(nbs):
+                raise ValueError("order is not a traversal of the graph")
+            while not left[stack[-1]]:
+                stack.pop()
+            if depth_first and stack[-1] not in nbs:
+                depth_first = False
+        for u in nbs:
+            left[u] -= 1
+        stack.append(v)
+    return depth_first
 
 
 def colex_inverse_key(order: Sequence[int]) -> tuple[int, ...]:
@@ -288,7 +296,7 @@ def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], tuple[int,
     tau = run.visit_order
     if tau[0] != 0:
         raise ValueError(f"stability verdicts need a search from vertex 0, not from {tau[0]}")
-    return tau, run.positions, run.least_neighbors.parent
+    return tau, run.positions, run.least_neighbors
 
 
 def closure_samples(run: SearchTrace, seed: int, count: int) -> list[frozenset[int]]:
@@ -418,18 +426,17 @@ class LevelVerdict:
 
 
 def level_decomposition(
-    g: OrderedGraph, order: Sequence[int], root: int
+    g: OrderedGraph, order: Sequence[int]
 ) -> tuple[tuple[frozenset[int], ...], LevelVerdict]:
-    """Distance levels from the root, with structure checks for acyclic
-    graphs: each level is an interval of the order, levels appear in
-    increasing distance order, and the least-neighbor map drops every vertex
-    exactly one level."""
-    parent = least_neighbor_map(g, order).parent
+    """Distance levels from the order's first vertex, the root, with
+    structure checks for acyclic graphs: each level is an interval of the
+    order, levels appear in increasing distance order, and the
+    least-neighbor map drops every vertex exactly one level."""
+    parent = least_neighbor_map(g, order)
     positions = invert_permutation(order)
     if not _parents_in_order(order, positions, parent):
         raise ValueError("order is not a breadth-first traversal")
-    if order[0] != root:
-        raise ValueError("order does not start at the root")
+    root = order[0]
     dist = {root: 0}
     frontier = [root]
     levels = [frozenset([root])]

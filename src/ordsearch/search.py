@@ -60,8 +60,8 @@ class Run:
         return invert_permutation(self.visit_order)
 
     @cached_property
-    def least_neighbors(self) -> LeastNeighborMap:
-        """The least-neighbor map of the visit order."""
+    def least_neighbors(self) -> tuple[int, ...]:
+        """The least-neighbor map of the visit order, indexed by vertex."""
         return least_neighbor_map(self.graph, self.visit_order)
 
 
@@ -118,7 +118,7 @@ class BfsTrace(Run):
         # queue before stage alpha holds the root and every vertex whose
         # least neighbor sits before alpha.
         positions = self.positions
-        parent = self.least_neighbors.parent
+        parent = self.least_neighbors
         enqueued = [0] * len(self.visit_order)
         for v in self.visit_order[1:]:
             enqueued[positions[parent[v]]] += 1
@@ -332,28 +332,9 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     return tuple(order), {"splits": n - 1, "scanned": scanned}
 
 
-@dataclass(frozen=True)
-class LeastNeighborMap:
-    """For a traversal: ``parent[v]`` is v's neighbor that comes earliest in
-    the order, for every vertex v except the order's first element, the
-    root, which maps to itself."""
-
-    root: int
-    parent: tuple[int, ...]
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The symmetrized parent edges, normalized and sorted.  Each vertex
-        but the root adds the edge to its parent, which came earlier in the
-        order, so no edge is added twice."""
-        root = self.root
-        edges = [(v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if v != root]
-        edges.sort()
-        return tuple(edges)
-
-
-def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> LeastNeighborMap:
+def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> tuple[int, ...]:
     """Map each vertex of a traversal of g to its order-least neighbor, and
-    the first vertex to itself.
+    the first vertex, the root, to itself: ``parent[v]``, indexed by vertex.
 
     The walk checks the order as it goes: a vertex that no earlier vertex
     touched leaves its prefix disconnected, so the order is not a traversal
@@ -372,10 +353,17 @@ def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> LeastNeighborMa
         for w in adjacency[u]:
             if parent[w] < 0:
                 parent[w] = u
-    return LeastNeighborMap(root, tuple(parent))
+    return tuple(parent)
 
 
 def traversal_tree(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:
     """Spanning tree obtained by symmetrizing the least-neighbor map of a
-    traversal of g; raises ``ValueError`` as ``least_neighbor_map`` does."""
-    return OrderedGraph._canonical(g.vertex_count, least_neighbor_map(g, order).edges())
+    traversal of g; raises ``ValueError`` as ``least_neighbor_map`` does.
+
+    Each vertex but the root, the one vertex that is its own parent, adds
+    the edge to its parent, which came earlier in the order, so no edge is
+    added twice."""
+    parent = least_neighbor_map(g, order)
+    edges = [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if v != p]
+    edges.sort()
+    return OrderedGraph._canonical(g.vertex_count, tuple(edges))

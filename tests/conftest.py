@@ -33,6 +33,20 @@ def all_connected_graphs(n):
             yield g
 
 
+def random_traversal(g, rng):
+    """A traversal of connected g drawn step by step: a random start, then
+    each time a random unplaced vertex with a placed neighbor."""
+    start = rng.randrange(g.vertex_count)
+    order, placed = [start], {start}
+    while len(order) < g.vertex_count:
+        v = rng.choice(
+            [v for v in range(g.vertex_count) if v not in placed and placed.intersection(g.adjacency[v])]
+        )
+        order.append(v)
+        placed.add(v)
+    return tuple(order)
+
+
 @pytest.fixture
 def six_cycle_tail() -> OrderedGraph:
     """The 6-vertex graph used throughout: the 5-cycle 0-1-2-4-5-0 with the

@@ -5,12 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, random_traversal, star_graph
 from ordsearch.graph import (
     DisconnectedGraphError,
     OrderedGraph,
     invert_permutation,
-    is_connected,
     random_connected_graph,
     relabel,
 )
@@ -64,30 +63,6 @@ def brute_force_bfs_lines(g, start):
     return lines
 
 
-def connected_small_graphs():
-    """Every connected labelled graph on 1 to 5 vertices."""
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            if is_connected(g):
-                yield g
-
-
-def random_traversal(g, rng):
-    """A traversal of connected g drawn step by step: a random start, then
-    each time a random unplaced vertex with a placed neighbor."""
-    start = rng.randrange(g.vertex_count)
-    order, placed = [start], {start}
-    while len(order) < g.vertex_count:
-        v = rng.choice(
-            [v for v in range(g.vertex_count) if v not in placed and placed.intersection(g.adjacency[v])]
-        )
-        order.append(v)
-        placed.add(v)
-    return tuple(order)
-
-
 def random_graphs_with_long_names(seed, count):
     """Random connected graphs on 11 to 200 vertices, so vertex names have
     two or three digits, sparse and dense alike; each with a random start."""
@@ -131,10 +106,11 @@ class TestDeterministicSearch:
 
     def test_matches_brute_force_on_all_small_graphs(self):
         checked = 0
-        for g in connected_small_graphs():
-            for start in range(g.vertex_count):
-                assert_matches_brute_force(g, start)
-                checked += 1
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                for start in range(n):
+                    assert_matches_brute_force(g, start)
+                    checked += 1
         # 1 + 1*2 + 4*3 + 38*4 + 728*5 (connected labelled graphs times starts)
         assert checked == 3807
 
@@ -229,10 +205,11 @@ class TestBfsSearch:
 
     def test_stage_lines_match_brute_force_on_all_small_graphs(self):
         checked = 0
-        for g in connected_small_graphs():
-            for start in range(g.vertex_count):
-                assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
-                checked += 1
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                for start in range(n):
+                    assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
+                    checked += 1
         assert checked == 3807
 
     def test_stage_lines_match_brute_force_on_random_graphs(self):
@@ -393,23 +370,18 @@ class TestAltAgainstRescanning:
 
 
 class TestLeastNeighborMap:
-    # parent is indexed by vertex, and the root maps to itself.
+    # The map is a tuple indexed by vertex, and the root maps to itself.
     def test_six_cycle_tail_search_order(self, six_cycle_tail):
-        m = least_neighbor_map(six_cycle_tail, (0, 1, 2, 4, 5, 3))
-        assert m.root == 0
-        assert m.parent == (0, 0, 1, 5, 2, 0)
+        assert least_neighbor_map(six_cycle_tail, (0, 1, 2, 4, 5, 3)) == (0, 0, 1, 5, 2, 0)
 
     def test_six_cycle_tail_bfs_order(self, six_cycle_tail):
-        m = least_neighbor_map(six_cycle_tail, (0, 1, 5, 2, 3, 4))
-        assert m.parent == (0, 0, 1, 5, 5, 0)
+        assert least_neighbor_map(six_cycle_tail, (0, 1, 5, 2, 3, 4)) == (0, 0, 1, 5, 5, 0)
 
     def test_path_identity(self):
-        m = least_neighbor_map(path_graph(4), (0, 1, 2, 3))
-        assert m.parent == (0, 0, 1, 2)
+        assert least_neighbor_map(path_graph(4), (0, 1, 2, 3)) == (0, 0, 1, 2)
 
     def test_triangle_identity(self):
-        m = least_neighbor_map(cycle_graph(3), (0, 1, 2))
-        assert m.parent == (0, 0, 0)
+        assert least_neighbor_map(cycle_graph(3), (0, 1, 2)) == (0, 0, 0)
 
     def test_rejects_isolated_non_first(self):
         g = OrderedGraph(2)
@@ -422,10 +394,9 @@ class TestLeastNeighborMap:
             g = random_connected_graph(rng.randint(2, 10), 0.5, rng.randint(0, 9999))
             order = random_traversal(g, rng)
             positions = invert_permutation(order)
-            m = least_neighbor_map(g, order)
-            assert m.root == order[0]
-            for v, p in enumerate(m.parent):
-                if v == m.root:
+            parent = least_neighbor_map(g, order)
+            for v, p in enumerate(parent):
+                if v == order[0]:
                     assert p == v
                     continue
                 assert p in g.adjacency[v]
@@ -459,7 +430,8 @@ class TestTraversalTree:
                 for order in itertools.permutations(range(n)):
                     if is_traversal(g, order):
                         tree = traversal_tree(g, order)
-                        assert tree == OrderedGraph(n, least_neighbor_map(g, order).edges())
+                        parent = least_neighbor_map(g, order)
+                        assert tree == OrderedGraph(n, tuple((v, p) for v, p in enumerate(parent) if v != p))
                         is_breadth_first(g, order)  # judged, not rejected
                         continue
                     for call in (traversal_tree, least_neighbor_map, is_breadth_first):
@@ -559,7 +531,7 @@ class TestFixedPointLaws:
             ):
                 assert is_traversal(g, order)
                 positions = invert_permutation(order)
-                parents = least_neighbor_map(g, order).parent
+                parents = least_neighbor_map(g, order)
                 assert all(positions[parents[v]] < positions[v] for v in order[1:])
 
     def test_complete_graph_identity(self):

@@ -174,7 +174,7 @@ class TestBfsTreeWitness:
         g = build_bfs_tree_witness(2, 2)
         order = bfs_search(g).visit_order
         assert order == tuple(range(7))
-        levels, verdict = level_decomposition(g, order, 0)
+        levels, verdict = level_decomposition(g, order)
         assert [len(l) for l in levels] == [1, 2, 4]
         assert verdict.all_pass()
 
@@ -185,7 +185,7 @@ class TestBfsTreeWitness:
         for b in (2, 3, 4):
             for d in (1, 2, 3):
                 g = build_bfs_tree_witness(b, d)
-                levels, verdict = level_decomposition(g, bfs_search(g).visit_order, 0)
+                levels, verdict = level_decomposition(g, bfs_search(g).visit_order)
                 assert [len(l) for l in levels] == [b**i for i in range(d + 1)]
                 assert verdict.all_pass()
 
