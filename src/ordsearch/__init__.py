@@ -34,7 +34,7 @@ from .predicates import (
 from .search import (
     BfsTrace,
     SearchTrace,
-    alt_search,
+    alt_search_with_counts,
     bfs_search,
     deterministic_search,
     least_neighbor_map,

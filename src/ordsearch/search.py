@@ -4,11 +4,12 @@
 taking the numerically least vertex adjacent to the visited set.
 ``bfs_search`` is the queue variant: when a vertex is processed its unseen
 neighbors are appended to the queue in ascending order, and the queue
-itself, once complete, is the visit order.  ``alt_search`` computes the same
-order as ``deterministic_search`` by a divide and conquer scheme: remove the
-greatest remaining vertex, traverse the start's component, then traverse the
-rest from that removed vertex.  The agreement of the two is a checked
-property, not an assumption.
+itself, once complete, is the visit order.  ``alt_search_with_counts``
+computes the same order as ``deterministic_search`` by a divide and conquer
+scheme: remove the greatest remaining vertex, traverse the start's
+component, then traverse the rest from that removed vertex.  It reads every
+split off one union-find component tree instead of performing them.  The
+agreement of the two is a checked property, not an assumption.
 
 A run is its visit order plus its graph; nothing else is stored, so a caller
 that wants no trace pays for none.  Each search stage's candidate frontier
@@ -186,47 +187,40 @@ def bfs_search(g: OrderedGraph, start: int = 0) -> BfsTrace:
     return BfsTrace(tuple(queue), g)
 
 
-def alt_search(g: OrderedGraph, start: int = 0) -> Traversal:
-    """Divide and conquer traversal: split off the greatest remaining vertex,
-    finish the start's side, then continue from the removed vertex."""
-    order, _ = alt_search_with_counts(g, start)
-    return order
-
-
 def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, dict[str, int]]:
-    """As alt_search, also returning work counters: ``splits`` is the
-    number of two-way splits performed, n-1, and ``scanned`` the total size
-    of the vertex sets that were split.
+    """Divide and conquer traversal: split off the greatest remaining vertex
+    but the start, finish the start's side, then continue from the removed
+    vertex.  Returns the order and two work counters: ``splits``, the number
+    of two-way splits, n-1, and ``scanned``, the total size of the vertex
+    sets that were split.
 
-    A split of the set S from v removes w, the greatest member but v, and
-    finds X, v's component of S - w.  Each component of S - w holds a
-    neighbor of w, so one search runs from each such neighbor, one vertex
-    per search in turn, and two searches that meet become one.  Once at
-    most one search is still running, every finished search is a whole
-    component: if v's is among them it is X, otherwise the rest of S is w
-    and the finished components.  Only that finished side is relabeled and
-    gets a new member list; the other side keeps S's list, and vertices
-    that left it are dropped as they surface at its end.
+    The whole recursion is read off one component tree J.  Insert the
+    start, then the other vertices in ascending order; each inserted u
+    becomes the J-parent of the tops of its earlier neighbors' components.
+    So the J-subtree of y is y's component among the vertices inserted up
+    to y.  A subproblem (S, u) splits off w_1 > w_2 > ..., its chain, and
+    after w_i goes, u's side is u's component among u and the members below
+    w_i.  So a member y is on the chain iff it is on u's side among u and
+    the members up to y, that is iff its J-subtree holds the start, for the
+    whole graph, or else holds a neighbor of u in S.  The chain is thus the
+    J-path above the start, or the union of the J-paths from u's neighbors
+    in S up to u.  The side that leaves with y is y and the J-subtrees of
+    its children off the chain.  The order is the preorder of these
+    subproblems, each u followed by its chain's subproblems in ascending
+    order, and w_i's split set is u and the sides of the chain vertices up
+    to w_i.
 
-    Cost, with vol(S) the sum of the degrees in S:
+    Every vertex but the start is on one chain, and a chain is marked when
+    its u is taken from the stack.  Then the J-subtrees of u's children
+    outside S are marked already, their subproblems coming earlier in the
+    order, and no other member of S is.  So u's neighbors in S are its
+    unmarked smaller neighbors, and a walk up from one stops at the first
+    marked vertex.
 
-    * the searches of a split claim, pop and read the adjacency of each
-      vertex of S at most once, O(|S| + vol(S));
-    * a split merges searches at most deg(w) - 1 times, each time moving
-      the shorter frontier and one search's seeds, O(|S| + deg(w)); a
-      vertex is w in at most one split, since it then starts its side, so
-      all merges together cost O(sum of deg(w) * n) = O(n*m);
-    * the finished side is sorted only when that costs no more than a pass
-      over S's list, and S's list is rebuilt when more than half of it
-      would be vertices that left, so no list exceeds twice its side's
-      size and its upkeep is O(|S|) per split.
-
-    A vertex lies in at most n-1 split sets, so the run takes O(n*(n+m))
-    time, the bound of rescanning every split set, and O(n+m) memory.  The
-    searches seldom come near it, but they do not reach O((n+m) log n)
-    either: when S - w stays connected, w's neighbors race until they all
-    meet, and on sparse random graphs of mean degree 6 the searches pop
-    roughly n**1.5 / 2 vertices in all (README.md has the measurements).
+    Cost: J takes one find per edge, with union by size and path halving,
+    O(m * alpha(n)) (Tarjan, J. ACM 22, 1975); the walks mark each vertex
+    once and end with one look per edge, O(n+m); the chains are n-1
+    vertices in all, sorted in O(n log n).  Memory is O(n+m).
     """
     _check_start(g, start)
     n = g.vertex_count
@@ -234,101 +228,72 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     reached = reach(g, start)
     if 0 in reached:
         raise DisconnectedGraphError(reached.index(0), start)
-    scanned = 0
-    order: list[int] = []
-    # owner[u] is the id of the pending subproblem that holds u.  Each
-    # subproblem is (id, vertex to start from, size, ascending list holding
-    # its members and vertices that have since moved to another id).  An
-    # explicit stack, because the split chain can be as long as the vertex
-    # count.
-    owner = [0] * n
-    last_id = 0
-    # In a race, mark[x] - base is the seed whose search reached x; marks
-    # below base are from earlier races.
+    parent = [-1] * n
+    size = [1] * n
+    # uf is the union-find forest over J's components, and top[r] is the
+    # J-top of the component whose root is r.
+    uf = list(range(n))
+    top = list(range(n))
+    for u in range(n):
+        if u == start:
+            continue
+        u_root = u
+        for x in adjacency[u]:
+            if x > u and x != start:
+                continue
+            r = x
+            while uf[r] != r:
+                uf[r] = r = uf[uf[r]]
+            if r == u_root:
+                continue
+            t = top[r]
+            parent[t] = u
+            if size[t] > size[u]:
+                uf[u_root] = r
+                u_root = r
+            else:
+                uf[r] = u_root
+            size[u] += size[t]
+        top[u_root] = u
+    # side[y] ends as the size of y's side: its J-subtree less the
+    # J-subtrees of its children on the same chain.  mark[y] is the u whose
+    # chain holds y, and the start marks itself.  The start's chain is the
+    # J-path above it, ascending.
+    side = size[:]
     mark = [-1] * n
-    base = 0
-    stack: list[tuple[int, int, int, list[int]]] = [(0, start, n, list(range(n)))]
-    while stack:
-        mid, v, size, members = stack.pop()
-        while size > 1:
-            scanned += size
-            while owner[members[-1]] != mid:
-                members.pop()
-            if members[-1] == v:
-                members.pop()
-                while owner[members[-1]] != mid:
-                    members.pop()
-                w = members[-1]
-                members.append(v)
-            else:
-                w = members[-1]
-            seeds = [x for x in adjacency[w] if owner[x] == mid]
-            k = len(seeds)
-            if k == 1:
-                # S - w is connected: X is all of it.
-                moved = [w]
-                v_moves = False
-            else:
-                owner[w] = -1
-                for j, x in enumerate(seeds, base):
-                    mark[x] = j
-                root = list(range(k))
-                group = [[j] for j in range(k)]
-                frontier = [[x] for x in seeds]
-                claimed = [[x] for x in seeds]
-                running = list(range(k))
-                while len(running) > 1:
-                    for r in running:
-                        todo = frontier[r]
-                        if root[r] != r or not todo:
-                            continue
-                        for x in adjacency[todo.pop()]:
-                            if owner[x] == mid:
-                                j = mark[x] - base
-                                if j < 0:
-                                    mark[x] = base + r
-                                    todo.append(x)
-                                    claimed[r].append(x)
-                                elif root[j] != r:
-                                    # The searches meet: the one with the
-                                    # shorter frontier joins the other.
-                                    q = root[j]
-                                    if len(frontier[q]) > len(todo):
-                                        r, q = q, r
-                                        todo = frontier[r]
-                                    for i in group[q]:
-                                        root[i] = r
-                                    group[r] += group[q]
-                                    todo += frontier[q]
-                                    frontier[q] = []
-                    running = [r for r in running if root[r] == r and frontier[r]]
-                j = mark[v] - base
-                v_moves = j >= 0 and not frontier[root[j]]
-                if v_moves:
-                    moved = [x for i in group[root[j]] for x in claimed[i]]
-                    owner[w] = mid
-                else:
-                    moved = [w]
-                    moved += [x for i in range(k) if not frontier[root[i]] for x in claimed[i]]
-                base += k
-            last_id += 1
-            for x in moved:
-                owner[x] = last_id
-            count = len(moved)
-            if count * count.bit_length() <= len(members) <= 2 * (size - count):
-                moved.sort()
-            else:
-                # Sorting would cost more than a pass over S's list, or the
-                # list would hold more vertices that left than members.
-                moved = [x for x in members if owner[x] == last_id]
-                members = [x for x in members if owner[x] == mid]
-            if v_moves:
-                stack.append((mid, w, size - count, members))
-                mid, size, members = last_id, count, moved
-            else:
-                stack.append((last_id, w, count, moved))
-                size -= count
-        order.append(v)
+    mark[start] = start
+    chain = []
+    y = start
+    while parent[y] >= 0:
+        side[parent[y]] -= size[y]
+        y = parent[y]
+        mark[y] = start
+        chain.append(y)
+    order = [start]
+    stack: list[int] = []
+    scanned = 0
+    while True:
+        # chain is the chain of order[-1], ascending.
+        split_set = 1
+        for y in chain:
+            split_set += side[y]
+            scanned += split_set
+        chain.reverse()
+        stack += chain
+        if not stack:
+            break
+        u = stack.pop()
+        order.append(u)
+        chain = []
+        for x in adjacency[u]:
+            if x > u:
+                break
+            while mark[x] < 0:
+                mark[x] = u
+                chain.append(x)
+                side[parent[x]] -= size[x]
+                x = parent[x]
+        chain.sort()
     return tuple(order), {"splits": n - 1, "scanned": scanned}
 
 

@@ -30,7 +30,7 @@ from ordsearch import predicates
 from ordsearch.search import (
     BfsTrace,
     SearchTrace,
-    alt_search,
+    alt_search_with_counts,
     bfs_search,
     deterministic_search,
     least_neighbor_map,
@@ -262,7 +262,7 @@ class TestEnumerateTraversals:
         for call in (
             lambda: deterministic_search(g),
             lambda: bfs_search(g),
-            lambda: alt_search(g),
+            lambda: alt_search_with_counts(g),
             lambda: enumerate_traversals(g),
         ):
             with pytest.raises(DisconnectedGraphError) as exc:

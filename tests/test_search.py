@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,6 @@ from ordsearch.graph import (
 )
 from ordsearch.predicates import is_breadth_first, is_traversal
 from ordsearch.search import (
-    alt_search,
     alt_search_with_counts,
     bfs_search,
     deterministic_search,
@@ -225,28 +225,28 @@ class TestAltSearch:
     def test_six_cycle_tail_splits(self, six_cycle_tail):
         # greatest vertex 5 splits off {5, 3}; recursing gives the
         # concatenation (0,1,2,4) then (5,3)
-        assert alt_search(six_cycle_tail) == (0, 1, 2, 4, 5, 3)
+        assert alt_search_with_counts(six_cycle_tail)[0] == (0, 1, 2, 4, 5, 3)
 
     def test_path(self):
-        assert alt_search(path_graph(3)) == (0, 1, 2)
+        assert alt_search_with_counts(path_graph(3))[0] == (0, 1, 2)
 
     def test_triangle(self):
         g = cycle_graph(3)
-        assert alt_search(g) == deterministic_search(g).visit_order
+        assert alt_search_with_counts(g)[0] == deterministic_search(g).visit_order
 
     def test_agrees_with_search_on_random_graphs(self):
         rng = random.Random(27)
         for _ in range(80):
             g = random_connected_graph(rng.randint(1, 12), 0.35, rng.randint(0, 9999))
             start = rng.randrange(g.vertex_count)
-            assert alt_search(g, start) == deterministic_search(g, start).visit_order
+            assert alt_search_with_counts(g, start)[0] == deterministic_search(g, start).visit_order
 
     def test_long_path_needs_no_recursion(self):
         # the split chain has depth ~n here, far past the interpreter's
         # default recursion limit
         n = 3000
         g = path_graph(n)
-        assert alt_search(g) == tuple(range(n))
+        assert alt_search_with_counts(g)[0] == tuple(range(n))
 
     def test_counts(self, six_cycle_tail):
         # The split sets are {0..5}, {0,1,2,4}, {0,1,2}, {0,1} and {5,3}.
@@ -256,7 +256,40 @@ class TestAltSearch:
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
-            alt_search(OrderedGraph(3, ((0, 1),)))
+            alt_search_with_counts(OrderedGraph(3, ((0, 1),)))
+
+    def test_large_sparse_graph(self):
+        # Mean degree about 6.  A kernel that rescans or re-searches the
+        # split sets takes seconds here and the component tree about 0.1 s,
+        # so the bound leaves room for a slow host.
+        g = random_connected_graph(32_000, 0.00012, 32)
+        g.adjacency  # built outside the timed region
+        began = time.perf_counter()
+        order, counts = alt_search_with_counts(g)
+        elapsed = time.perf_counter() - began
+        assert order == deterministic_search(g).visit_order
+        assert counts == {"splits": 31_999, "scanned": max_cartesian_split_sum(order)}
+        assert elapsed < 1.5
+
+
+def max_cartesian_split_sum(order):
+    """The total size of alt's split sets, read off its visit order.  The
+    interval [a, b) of the order splits at the position p of the greatest
+    vertex of order[a+1:b], into [a, p) and [p, b).  So position p >= 1
+    splits the interval from the nearest earlier position >= 1 holding a
+    greater vertex (else 0) to the nearest later one (else the end), and
+    one stack finds both neighbors in O(n)."""
+    n = len(order)
+    left = [0] * n
+    right = [n] * n
+    stack = []
+    for p in range(1, n):
+        while stack and order[stack[-1]] < order[p]:
+            right[stack.pop()] = p
+        if stack:
+            left[p] = stack[-1]
+        stack.append(p)
+    return sum(right[p] - left[p] for p in range(1, n))
 
 
 def rescanning_alt(g, start):
@@ -336,7 +369,7 @@ def _random_tree(n, seed):
 
 
 class TestAltAgainstRescanning:
-    """The split-side kernel against the rescanning reference: the same
+    """The component-tree kernel against the rescanning reference: the same
     order and the same counters."""
 
     def test_every_connected_graph_to_five_vertices_from_every_start(self):
