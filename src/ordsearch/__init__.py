@@ -5,6 +5,7 @@ finite witness constructions that realize those bounds."""
 from .graph import (
     DisconnectedGraphError,
     GraphFormatError,
+    NotATraversalError,
     OrderedGraph,
     Traversal,
     deserialize,
@@ -21,7 +22,6 @@ from .predicates import (
     TraversalSet,
     closure_samples,
     enumerate_traversals,
-    has_decreasing_neighbors,
     is_breadth_first,
     is_depth_first,
     is_traversal,
@@ -44,7 +44,6 @@ from .witness import (
     WitnessBuild,
     WitnessVerdict,
     build_bfs_tree_witness,
-    build_padded_graph,
     build_zeta_witness,
     format_manifest,
     verify_witness,

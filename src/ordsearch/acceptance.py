@@ -20,9 +20,7 @@ from typing import Callable, Iterable, Iterator
 from .graph import OrderedGraph, random_connected_graph, relabel
 from .ordinal import ONE, OMEGA, Ordinal, cofinality, fundamental_sequence, omega_power, omega_quot_rem, zeta
 from .predicates import (
-    breadth_first_triple_condition,
     closure_samples,
-    has_decreasing_neighbors,
     is_breadth_first,
     is_traversal,
     level_decomposition,
@@ -54,21 +52,25 @@ def iter_connected_adjacency(n: int) -> Iterator[list[int]]:
                 adj[v] |= 1 << u
             b >>= 1
             i += 1
-        reached = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    nxt |= adj[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~reached
-            reached |= frontier
-        if reached == (1 << n) - 1:
+        if _flood(adj, 1, (1 << n) - 1) == (1 << n) - 1:
             yield adj
+
+
+def _flood(adj: list[int], seed: int, within: int) -> int:
+    """The vertices of the bitmask ``within`` that the bitmask ``seed``
+    reaches through edges inside it."""
+    reached = frontier = seed
+    while frontier:
+        grown = 0
+        v = 0
+        while frontier:
+            if frontier & 1:
+                grown |= adj[v]
+            frontier >>= 1
+            v += 1
+        frontier = grown & within & ~reached
+        reached |= frontier
+    return reached
 
 
 def graph_from_adjacency(adj: list[int]) -> OrderedGraph:
@@ -119,6 +121,36 @@ def _monotone_parents(adj: list[int], order: tuple[int, ...]) -> bool:
         if best < last:
             return False
         last = best
+    return True
+
+
+def _prefix_connected(adj: list[int], order: tuple[int, ...]) -> bool:
+    """Every initial segment of the order induces a connected subgraph:
+    each prefix is flooded from its first vertex inside the prefix."""
+    prefix = 0
+    for v in order:
+        prefix |= 1 << v
+        if _flood(adj, 1 << order[0], prefix) != prefix:
+            return False
+    return True
+
+
+def _breadth_first_triples(adj: list[int], order: tuple[int, ...]) -> bool:
+    """The literal three-vertex breadth-first condition: whenever
+    u < v < w in the order, u and w adjacent but u and v not, some x < u
+    is adjacent to v."""
+    # before holds the vertices ahead of u, rest those after u, and after
+    # those after v.
+    before = 0
+    rest = (1 << len(order)) - 1
+    for i, u in enumerate(order):
+        rest &= ~(1 << u)
+        after = rest
+        for v in order[i + 1 :]:
+            after &= ~(1 << v)
+            if not adj[u] >> v & 1 and adj[u] & after and not adj[v] & before:
+                return False
+        before |= 1 << u
     return True
 
 
@@ -323,17 +355,17 @@ def criterion_bfs_levels() -> None:
 
 def criterion_predicate_equivalences() -> None:
     """Exhaustively on all permutations of all connected graphs with n <= 5:
-    prefix connectivity agrees with the earlier-neighbor form, and on
-    traversals the triple breadth-first condition agrees with parent
-    monotonicity."""
+    ``is_traversal`` agrees with prefix connectivity, and on traversals
+    ``is_breadth_first`` agrees with the literal three-vertex condition;
+    both references are bitmask walks."""
     for n in range(1, 6):
         for adj in iter_connected_adjacency(n):
             g = graph_from_adjacency(adj)
             for perm in itertools.permutations(range(n)):
-                t = is_traversal(g, perm)
-                assert t == has_decreasing_neighbors(g, perm)
+                t = _prefix_connected(adj, perm)
+                assert is_traversal(g, perm) == t, (g, perm)
                 if t:
-                    assert breadth_first_triple_condition(g, perm) == is_breadth_first(g, perm)
+                    assert is_breadth_first(g, perm) == _breadth_first_triples(adj, perm), (g, perm)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from . import acceptance
 from .graph import (
     DisconnectedGraphError,
     GraphFormatError,
+    NotATraversalError,
     OrderedGraph,
     Traversal,
     deserialize,
@@ -127,12 +128,12 @@ def _cmd_check(args) -> int:
         verdicts.emit("traversal", is_traversal(g, order))
     else:
         name = {"bfs": "breadth-first", "dfs": "depth-first"}[args.kind]
-        if not is_traversal(g, order):
+        test = is_breadth_first if args.kind == "bfs" else is_depth_first
+        # The test rejects a non-traversal in its own pass.
+        try:
+            verdicts.emit(name, test(g, order))
+        except NotATraversalError:
             verdicts.emit(name, False, "not a traversal")
-        elif args.kind == "bfs":
-            verdicts.emit(name, is_breadth_first(g, order))
-        else:
-            verdicts.emit(name, is_depth_first(g, order))
     return verdicts.exit_code()
 
 

@@ -52,6 +52,16 @@ class DisconnectedGraphError(ValueError):
         self.start = start
 
 
+class NotATraversalError(ValueError):
+    """A permutation of the vertices that is not a traversal: some vertex
+    after the first has no earlier neighbor, so the prefix it ends is
+    disconnected.  An order that is not a permutation gets a plain
+    ``ValueError`` instead."""
+
+    def __init__(self):
+        super().__init__("order is not a traversal of the graph")
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """An undirected graph on vertices 0..vertex_count-1.
@@ -99,17 +109,6 @@ class OrderedGraph:
             lists[u].append(v)
             lists[v].append(u)
         return tuple(map(tuple, lists))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
 
 def reach(g: OrderedGraph, start: int) -> bytearray:

@@ -1,19 +1,20 @@
 """Order predicates, traversal enumeration, and extremality/stability verifiers.
 
 A vertex order is a traversal when every initial segment induces a connected
-subgraph; ``is_traversal`` checks that directly with incremental union-find
-rather than the shortcut "every vertex has an earlier neighbor", which is a
-separate predicate whose agreement with the first is itself a tested fact.
+subgraph, that is when every vertex after the first has an earlier neighbor.
+``is_traversal`` asks ``least_neighbor_map``'s walk, the package's one
+traversal test, which raises ``NotATraversalError`` on the first vertex
+without one.
 
 Breadth-first and depth-first orders are characterized by the classical
 three-vertex conditions.  Each has an equivalent working form that one pass
 over the order checks.  Breadth-first: the least-neighbor map is weakly
 monotone.  Depth-first: each vertex after the first is a neighbor of the
 latest earlier vertex that still has an unplaced neighbor (the candidate
-rule of Corneil and Krueger, 2008), in O(n+m).  The working forms are the
-defaults; the literal breadth-first triple scan is kept alongside, and the
-tests keep a naive depth-first triple scan, so both equivalences are
-checked exhaustively.
+rule of Corneil and Krueger, 2008), in O(n+m).  Both passes reject a
+non-traversal with ``NotATraversalError``.  The literal three-vertex
+conditions stay on the oracle side, in the acceptance suite and the tests,
+so both equivalences are checked exhaustively.
 
 ``enumerate_traversals`` lists the orders of a kind in lexicographic order
 by one backtracking walk, lexicographic generation with restricted prefixes
@@ -36,6 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     DisconnectedGraphError,
+    NotATraversalError,
     OrderedGraph,
     Traversal,
     _require_order,
@@ -64,49 +66,22 @@ class TraversalSet:
 
 
 def is_traversal(g: OrderedGraph, order: Sequence[int]) -> bool:
-    """True iff every prefix of the order induces a connected subgraph."""
-    _require_order(g, order)
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    placed = bytearray(n)
-    placed[order[0]] = 1
-    components = 1
-    for v in order[1:]:
-        placed[v] = 1
-        components += 1
-        for u in g.adjacency[v]:
-            if placed[u]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    components -= 1
-        if components != 1:
-            return False
-    return True
-
-
-def has_decreasing_neighbors(g: OrderedGraph, order: Sequence[int]) -> bool:
-    """True iff every non-first vertex has a neighbor earlier in the order."""
-    _require_order(g, order)
-    positions = invert_permutation(order)
-    for v in order[1:]:
-        if not any(positions[u] < positions[v] for u in g.adjacency[v]):
-            return False
+    """True iff every prefix of the order induces a connected subgraph;
+    ``ValueError`` if the order is not a permutation of the vertices."""
+    try:
+        least_neighbor_map(g, order)
+    except NotATraversalError:
+        return False
     return True
 
 
 def is_breadth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     """Breadth-first test via the least-neighbor map: parents' positions must
-    be weakly increasing along the order.  The map's walk raises
-    ``ValueError`` on an order that is not a traversal."""
-    return _parents_in_order(order, invert_permutation(order), least_neighbor_map(g, order))
+    be weakly increasing along the order.  The map's walk checks the order
+    first and raises ``NotATraversalError`` on one that is not a
+    traversal."""
+    parent = least_neighbor_map(g, order)
+    return _parents_in_order(order, invert_permutation(order), parent)
 
 
 def _parents_in_order(order: Sequence[int], positions: Sequence[int], parent: Sequence[int]) -> bool:
@@ -116,26 +91,6 @@ def _parents_in_order(order: Sequence[int], positions: Sequence[int], parent: Se
         if p < last:
             return False
         last = p
-    return True
-
-
-def breadth_first_triple_condition(g: OrderedGraph, order: Sequence[int]) -> bool:
-    """The literal three-vertex breadth-first condition: whenever u < v < w,
-    u and w adjacent but u and v not, some x < u must be adjacent to v."""
-    if not is_traversal(g, order):
-        raise ValueError("order is not a traversal of the graph")
-    positions = invert_permutation(order)
-    n = g.vertex_count
-    for a in range(n):
-        u = order[a]
-        for b in range(a + 1, n):
-            v = order[b]
-            if g.has_edge(u, v):
-                continue
-            if not any(g.has_edge(u, order[c]) for c in range(b + 1, n)):
-                continue
-            if not any(positions[x] < a for x in g.adjacency[v]):
-                return False
     return True
 
 
@@ -149,8 +104,8 @@ def is_depth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     Placed vertices wait on a stack and are popped once no neighbor of
     theirs is left unplaced, so the top is the latest vertex that still has
     one.  A vertex with no placed neighbor leaves its prefix disconnected,
-    and the pass raises ``ValueError`` with ``is_traversal``'s message; it
-    runs on after the rule first fails, so that error is not missed."""
+    and the pass raises ``NotATraversalError``; it runs on after the rule
+    first fails, so that error is not missed."""
     _require_order(g, order)
     adjacency = g.adjacency
     # left[u] counts u's unplaced neighbors.
@@ -162,7 +117,7 @@ def is_depth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
         # The stack is empty only before the first vertex.
         if stack:
             if left[v] == len(nbs):
-                raise ValueError("order is not a traversal of the graph")
+                raise NotATraversalError
             while not left[stack[-1]]:
                 stack.pop()
             if depth_first and stack[-1] not in nbs:
@@ -334,6 +289,8 @@ def verify_subset_stability(run: SearchTrace, w: Iterable[int]) -> bool:
     if not w:
         raise ValueError("vertex set must be nonempty")
     _, positions, parent = _run_facts(run)
+    if min(w) < 0 or max(w) >= run.graph.vertex_count:
+        raise ValueError("vertex set out of range")
     w_sorted = sorted(w, key=positions.__getitem__)
     w0 = w_sorted[0]
     for v in w:
@@ -361,7 +318,8 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
 
 
 def _is_partition(part_sets: Sequence[set[int]], vertex_count: int) -> bool:
-    return sorted(v for part in part_sets for v in part) == list(range(vertex_count))
+    """The parts are nonempty and cover each vertex exactly once."""
+    return all(part_sets) and sorted(v for part in part_sets for v in part) == list(range(vertex_count))
 
 
 def _interval_anchors(

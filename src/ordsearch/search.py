@@ -18,9 +18,9 @@ the least-neighbor map.
 
 A traversal's least-neighbor map sends every vertex except the first to its
 earliest neighbor in the order.  ``least_neighbor_map`` is the one walk that
-computes it, and it rejects an order that is not a traversal.  Symmetrizing
-the map yields a spanning tree, and re-running the matching search on that
-tree reproduces the traversal.
+computes it, and the package's one traversal test: it rejects an order that
+is not a traversal.  Symmetrizing the map yields a spanning tree, and
+re-running the matching search on that tree reproduces the traversal.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from typing import Sequence
 
 from .graph import (
     DisconnectedGraphError,
+    NotATraversalError,
     OrderedGraph,
     Traversal,
     _require_order,
     invert_permutation,
-    reach,
 )
 
 
@@ -215,7 +215,10 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     outside S are marked already, their subproblems coming earlier in the
     order, and no other member of S is.  So u's neighbors in S are its
     unmarked smaller neighbors, and a walk up from one stops at the first
-    marked vertex.
+    marked vertex.  On a disconnected graph the start's chain ends at the
+    root of the start's J-tree and no walk leaves that tree, so the
+    vertices left unmarked are those outside the start's component, and
+    the least of them is the one ``DisconnectedGraphError`` reports.
 
     Cost: J takes one find per edge, with union by size and path halving,
     O(m * alpha(n)) (Tarjan, J. ACM 22, 1975); the walks mark each vertex
@@ -225,9 +228,6 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
     _check_start(g, start)
     n = g.vertex_count
     adjacency = g.adjacency
-    reached = reach(g, start)
-    if 0 in reached:
-        raise DisconnectedGraphError(reached.index(0), start)
     parent = [-1] * n
     size = [1] * n
     # uf is the union-find forest over J's components, and top[r] is the
@@ -294,6 +294,8 @@ def alt_search_with_counts(g: OrderedGraph, start: int = 0) -> tuple[Traversal, 
                 side[parent[x]] -= size[x]
                 x = parent[x]
         chain.sort()
+    if len(order) != n:
+        raise DisconnectedGraphError(mark.index(-1), start)
     return tuple(order), {"splits": n - 1, "scanned": scanned}
 
 
@@ -301,10 +303,10 @@ def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> tuple[int, ...]
     """Map each vertex of a traversal of g to its order-least neighbor, and
     the first vertex, the root, to itself: ``parent[v]``, indexed by vertex.
 
-    The walk checks the order as it goes: a vertex that no earlier vertex
-    touched leaves its prefix disconnected, so the order is not a traversal
-    and ``ValueError`` is raised, with ``is_traversal``'s message, as it is
-    for an order that is not a permutation and for the empty graph."""
+    The walk is the package's one traversal test: a vertex that no earlier
+    vertex touched leaves its prefix disconnected, and the walk raises
+    ``NotATraversalError``.  An order that is not a permutation, and the
+    empty graph, get a plain ``ValueError``."""
     _require_order(g, order)
     adjacency = g.adjacency
     root = order[0]
@@ -314,7 +316,7 @@ def least_neighbor_map(g: OrderedGraph, order: Sequence[int]) -> tuple[int, ...]
     parent[root] = root
     for u in order:
         if parent[u] < 0:
-            raise ValueError("order is not a traversal of the graph")
+            raise NotATraversalError
         for w in adjacency[u]:
             if parent[w] < 0:
                 parent[w] = u

@@ -184,44 +184,6 @@ def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
     )
 
 
-def truncation_embedding(m: int, n: int, k: int) -> tuple[int, ...]:
-    """Vertex map from build(m, n, k) into build(m, n, k+1).
-
-    Entry v is the vertex of the deeper build playing the role vertex v plays
-    in the shallower one: anchors map to anchors in order (the extra anchor
-    of the deeper build is skipped) and pieces embed recursively.
-    """
-    _check_envelope(m, n, k)
-    if k + 1 > MAX_K:
-        raise ValueError("k + 1 leaves the supported envelope")
-    return _embedding(m, n, k)
-
-
-def _embedding(m: int, n: int, k: int) -> tuple[int, ...]:
-    if m == 0:
-        return tuple(range(n + 1))
-    if m == 1 and n == 0:
-        return tuple(range(k))
-    if n > 0:
-        sub = _embedding(m, 0, k)
-        small_piece, big_piece = _build(m, 0, k), _build(m, 0, k + 1)
-        anchor_count_small = anchor_count_big = n + 1
-    else:
-        sub = _embedding(m - 1, 0, k)
-        small_piece, big_piece = _build(m - 1, 0, k), _build(m - 1, 0, k + 1)
-        anchor_count_small, anchor_count_big = k, k + 1
-    total_s, anchors_s = _anchor_layout(anchor_count_small, small_piece.size)
-    total_b, anchors_b = _anchor_layout(anchor_count_big, big_piece.size)
-    pieces_s = _piece_vertices(n, anchor_count_small, small_piece.size, total_s)
-    pieces_b = _piece_vertices(n, anchor_count_big, big_piece.size, total_b)
-    mapping = {}
-    for i in range(anchor_count_small):
-        mapping[anchors_s[i]] = anchors_b[i]
-        for local, v in enumerate(pieces_s[i]):
-            mapping[v] = pieces_b[i][sub[local]]
-    return tuple(mapping[v] for v in range(total_s))
-
-
 def verify_witness(build: WitnessBuild) -> WitnessVerdict:
     """Check the build's certificate against an actual search run."""
     run = deterministic_search(build.graph, 0)
@@ -251,21 +213,6 @@ def verify_witness(build: WitnessBuild) -> WitnessVerdict:
         and build.nesting_depth == build.m
     )
     return WitnessVerdict(predicted_ok, blocks_ok, quotient_ok, profile_ok)
-
-
-def build_padded_graph(g: OrderedGraph, extra: int) -> OrderedGraph:
-    """Append ``extra`` new greatest vertices, each joined only to vertex 0.
-
-    For connected g the search traversal of the result starts with the
-    traversal of g and ends with the new vertices in ascending order.
-    """
-    if extra < 0:
-        raise ValueError("extra must be >= 0")
-    if extra == 0:
-        return g
-    n = g.vertex_count
-    edges = sorted(g.edges + tuple((0, n + i) for i in range(extra)))
-    return OrderedGraph._canonical(n + extra, tuple(edges))
 
 
 def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:

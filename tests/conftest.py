@@ -33,6 +33,26 @@ def all_connected_graphs(n):
             yield g
 
 
+def prefix_connected(g, order):
+    """Reference traversal test: search each prefix of the order from its
+    first vertex through g.edges, and compare what it reaches with the
+    prefix.  Calls no library predicate."""
+    neighbors = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    for i in range(1, len(order) + 1):
+        prefix = set(order[:i])
+        reached, stack = {order[0]}, [order[0]]
+        while stack:
+            for w in neighbors[stack.pop()] & prefix - reached:
+                reached.add(w)
+                stack.append(w)
+        if reached != prefix:
+            return False
+    return True
+
+
 def random_traversal(g, rng):
     """A traversal of connected g drawn step by step: a random start, then
     each time a random unplaced vertex with a placed neighbor."""

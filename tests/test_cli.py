@@ -142,7 +142,9 @@ class TestTree:
             calls.append(order)
             return original(g, order)
 
+        # cli binds its own name at import, so both bindings are counted.
         monkeypatch.setattr(predicates, "is_traversal", counted)
+        monkeypatch.setattr(cli, "is_traversal", counted)
         code, out, _ = run(capsys, "tree", six_file, kind)
         assert code == 0 and out.startswith("n 6\n")
         assert calls == []
@@ -179,10 +181,45 @@ class TestCheck:
         assert out == "breadth-first: FAIL\n"
 
     def test_non_traversal_noted(self, capsys, six_file):
-        code, out, _ = run(capsys, "check", six_file, "--order", "0", "2", "1", "4", "5", "3",
-                           "--kind", "dfs")
-        assert code == 1
-        assert out == "depth-first: FAIL [not a traversal]\n"
+        for kind, name in (("bfs", "breadth-first"), ("dfs", "depth-first")):
+            code, out, err = run(capsys, "check", six_file, "--order", "0", "2", "1", "4", "5", "3",
+                                 "--kind", kind)
+            assert (code, out, err) == (1, f"{name}: FAIL [not a traversal]\n", "")
+
+    @pytest.mark.parametrize("kind", ["traversal", "bfs", "dfs"])
+    @pytest.mark.parametrize("order", [["0", "5"], ["0", "0", "7"]])
+    def test_order_outside_the_vertices_is_input_error(self, capsys, six_file, kind, order):
+        code, out, err = run(capsys, "check", six_file, "--order", *order, "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == "error: order must be a permutation of the vertices\n"
+
+    @pytest.mark.parametrize("kind", ["bfs", "dfs"])
+    @pytest.mark.parametrize(
+        "order, codes",
+        [
+            ("0 1 5 2 3 4", {"bfs": 0, "dfs": 1}),
+            ("0 2 1 4 5 3", {"bfs": 1, "dfs": 1}),
+            ("0 1 5", {"bfs": 2, "dfs": 2}),
+        ],
+        ids=["traversal", "non-traversal", "non-permutation"],
+    )
+    def test_kind_checks_its_order_in_one_pass(self, capsys, monkeypatch, six_file, kind, order, codes):
+        # The breadth-first and depth-first tests reject a non-traversal
+        # themselves, so check runs no separate traversal test, and the
+        # breadth-first test walks the least-neighbor map once.
+        traversal_calls, walks = [], []
+        original_walk = predicates.least_neighbor_map
+
+        def counted_walk(g, order):
+            walks.append(order)
+            return original_walk(g, order)
+
+        monkeypatch.setattr(cli, "is_traversal", lambda g, order: traversal_calls.append(order))
+        monkeypatch.setattr(predicates, "least_neighbor_map", counted_walk)
+        code, _, _ = run(capsys, "check", six_file, "--order", *order.split(), "--kind", kind)
+        assert code == codes[kind]
+        assert traversal_calls == []
+        assert len(walks) == (kind == "bfs")
 
 
 class TestEnumerate:

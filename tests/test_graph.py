@@ -78,21 +78,6 @@ class TestReach:
             assert reach(g, start) == bytearray(v in expected for v in range(n))
 
 
-class TestNeighbors:
-    def test_six_cycle_tail(self, six_cycle_tail):
-        assert six_cycle_tail.neighbors(5) == (0, 3, 4)
-
-    def test_path_middle(self):
-        assert path_graph(3).neighbors(1) == (0, 2)
-
-    def test_isolated(self):
-        assert OrderedGraph(1).neighbors(0) == ()
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            path_graph(2).neighbors(5)
-
-
 def component_excluding(g, v, removed):
     """The component of v once ``removed`` is deleted: reach from v in the
     subgraph the other vertices induce."""
@@ -155,7 +140,7 @@ class TestInducedSubgraph:
             sub, kept = induced_subgraph(g, w)
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
-                    assert sub.has_edge(i, j) == g.has_edge(kept[i], kept[j])
+                    assert ((i, j) in sub.edges) == ((kept[i], kept[j]) in g.edges)
 
 
 class TestRelabel:
@@ -183,9 +168,7 @@ class TestRelabel:
             order = list(range(g.vertex_count))
             rng.shuffle(order)
             h = relabel(g, order)
-            assert sorted(h.degree(v) for v in range(h.vertex_count)) == sorted(
-                g.degree(v) for v in range(g.vertex_count)
-            )
+            assert sorted(map(len, h.adjacency)) == sorted(map(len, g.adjacency))
             assert is_connected(h) == is_connected(g)
 
     def test_rejects_non_permutation(self, six_cycle_tail):

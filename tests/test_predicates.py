@@ -5,18 +5,25 @@ import time
 
 import pytest
 
-from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, random_traversal, star_graph
+from conftest import (
+    all_connected_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    prefix_connected,
+    random_traversal,
+    star_graph,
+)
 from ordsearch.graph import (
     DisconnectedGraphError,
+    NotATraversalError,
     OrderedGraph,
     random_connected_graph,
 )
 from ordsearch.predicates import (
-    breadth_first_triple_condition,
     closure_samples,
     colex_inverse_key,
     enumerate_traversals,
-    has_decreasing_neighbors,
     is_breadth_first,
     is_depth_first,
     is_traversal,
@@ -81,12 +88,6 @@ class TestIsTraversal:
         assert not is_traversal(star_graph(3), (1, 2, 0))
 
 
-class TestHasDecreasingNeighbors:
-    def test_path(self):
-        assert has_decreasing_neighbors(path_graph(3), (0, 1, 2))
-        assert not has_decreasing_neighbors(path_graph(3), (0, 2, 1))
-
-
 class TestBreadthFirstPredicate:
     def test_six_cycle_tail_bfs_output(self, six_cycle_tail):
         assert is_breadth_first(six_cycle_tail, (0, 1, 5, 2, 3, 4))
@@ -123,8 +124,9 @@ class TestDepthFirstPredicate:
     def test_matches_naive_triple_scan(self):
         def naive(g, order):
             pos = {v: i for i, v in enumerate(order)}
+            edges = set(g.edges) | {(v, u) for u, v in g.edges}
             for u, v, w in itertools.permutations(range(g.vertex_count), 3):
-                if pos[u] < pos[v] < pos[w] and g.has_edge(u, w) and not g.has_edge(u, v):
+                if pos[u] < pos[v] < pos[w] and (u, w) in edges and (u, v) not in edges:
                     if not any(
                         pos[u] < pos[x] < pos[v] for x in g.adjacency[v]
                     ):
@@ -136,8 +138,8 @@ class TestDepthFirstPredicate:
             # first, as in (0, 2, 4, 3, 1) on the edges 0-2, 0-4, 1-2, 1-3:
             # 4 is placed while 2 still has the unplaced neighbor 1, then 3
             # has no earlier neighbor.
-            if not is_traversal(g, order):
-                with pytest.raises(ValueError, match="^order is not a traversal of the graph$"):
+            if not prefix_connected(g, order):
+                with pytest.raises(NotATraversalError, match="^order is not a traversal of the graph$"):
                     is_depth_first(g, order)
                 return None
             verdict = is_depth_first(g, order)
@@ -454,6 +456,20 @@ def test_closed_parts_are_connected_exhaustively():
     assert closed_parts == 361_608
 
 
+@pytest.mark.parametrize(
+    "g, verdict, arg, message",
+    [
+        (path_graph(6), verify_subset_stability, {0, 9}, "vertex set out of range"),
+        (path_graph(6), verify_subset_stability, {-1, 0}, "vertex set out of range"),
+        (path_graph(3), verify_quotient_stability, [{0, 1, 2}, set()], "parts do not partition"),
+    ],
+    ids=["subset-above", "subset-negative", "quotient-empty-part"],
+)
+def test_stability_verdicts_reject_malformed_vertex_sets(g, verdict, arg, message):
+    with pytest.raises(ValueError, match=message):
+        verdict(deterministic_search(g), arg)
+
+
 def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
     run = deterministic_search(six_cycle_tail, 1)
     for verdict in (
@@ -469,9 +485,7 @@ def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
     "call",
     [
         is_traversal,
-        has_decreasing_neighbors,
         is_breadth_first,
-        breadth_first_triple_condition,
         is_depth_first,
         least_neighbor_map,
         traversal_tree,
@@ -479,9 +493,7 @@ def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
     ],
     ids=[
         "is_traversal",
-        "has_decreasing_neighbors",
         "is_breadth_first",
-        "breadth_first_triple_condition",
         "is_depth_first",
         "least_neighbor_map",
         "traversal_tree",

@@ -6,15 +6,25 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph, random_traversal, star_graph
+from conftest import (
+    all_connected_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    prefix_connected,
+    random_traversal,
+    star_graph,
+)
 from ordsearch.graph import (
     DisconnectedGraphError,
+    NotATraversalError,
     OrderedGraph,
     invert_permutation,
     random_connected_graph,
+    reach,
     relabel,
 )
-from ordsearch.predicates import is_breadth_first, is_traversal
+from ordsearch.predicates import is_breadth_first, is_depth_first, is_traversal
 from ordsearch.search import (
     alt_search_with_counts,
     bfs_search,
@@ -257,6 +267,19 @@ class TestAltSearch:
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             alt_search_with_counts(OrderedGraph(3, ((0, 1),)))
+        # Every graph on up to five vertices from every start: the error
+        # names the least vertex that reach leaves unmarked.
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+                for start in range(n):
+                    marks = reach(g, start)
+                    if 0 not in marks:
+                        continue
+                    with pytest.raises(DisconnectedGraphError) as exc:
+                        alt_search_with_counts(g, start)
+                    assert (exc.value.vertex, exc.value.start) == (marks.index(0), start)
 
     def test_large_sparse_graph(self):
         # Mean degree about 6.  A kernel that rescans or re-searches the
@@ -454,34 +477,52 @@ class TestTraversalTree:
 
     def test_rejects_what_is_traversal_rejects(self):
         # Every graph and every order on up to five vertices, connected or
-        # not: the walk's check must agree with the prefix test, in
-        # traversal_tree, least_neighbor_map and is_breadth_first alike.
+        # not: the walk's verdict must agree with a prefix search that
+        # shares no code with it, in is_traversal, traversal_tree,
+        # least_neighbor_map, is_breadth_first and is_depth_first alike.
         for n in range(1, 6):
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
                 g = OrderedGraph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
                 for order in itertools.permutations(range(n)):
-                    if is_traversal(g, order):
+                    if prefix_connected(g, order):
+                        assert is_traversal(g, order)
                         tree = traversal_tree(g, order)
                         parent = least_neighbor_map(g, order)
                         assert tree == OrderedGraph(n, tuple((v, p) for v, p in enumerate(parent) if v != p))
                         is_breadth_first(g, order)  # judged, not rejected
                         continue
-                    for call in (traversal_tree, least_neighbor_map, is_breadth_first):
-                        with pytest.raises(ValueError) as exc:
+                    assert not is_traversal(g, order)
+                    for call in (traversal_tree, least_neighbor_map, is_breadth_first, is_depth_first):
+                        # try rather than pytest.raises: this runs about
+                        # 340,000 times, and the context manager costs more
+                        # than the call.
+                        try:
                             call(g, order)
-                        assert str(exc.value) == "order is not a traversal of the graph"
+                        except NotATraversalError as exc:
+                            assert str(exc) == "order is not a traversal of the graph"
+                        else:
+                            pytest.fail(f"{call.__name__} accepted {order} on {g}")
 
     @pytest.mark.parametrize(
         "g, order",
-        [(OrderedGraph(0), ()), (OrderedGraph(0), (0,)), (path_graph(3), (0, 1)), (path_graph(3), (0, 1, 1))],
+        [
+            (OrderedGraph(0), ()),
+            (OrderedGraph(0), (0,)),
+            (path_graph(3), (0, 1)),
+            (path_graph(3), (0, 1, 1)),
+            (path_graph(3), (0, 5)),
+            (path_graph(3), (0, 0, 7)),
+        ],
     )
     def test_input_errors_match_is_traversal(self, g, order):
         with pytest.raises(ValueError) as expected:
             is_traversal(g, order)
-        for call in (traversal_tree, least_neighbor_map, is_breadth_first):
+        assert not isinstance(expected.value, NotATraversalError)
+        for call in (traversal_tree, least_neighbor_map, is_breadth_first, is_depth_first):
             with pytest.raises(ValueError) as exc:
                 call(g, order)
+            assert type(exc.value) is ValueError
             assert str(exc.value) == str(expected.value)
 
     def test_trees_of_search_runs_are_canonical(self):

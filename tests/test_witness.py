@@ -1,20 +1,19 @@
-import random
-
 import pytest
 
 from conftest import path_graph, star_graph
 from ordsearch.acceptance import _witness_grid
-from ordsearch.graph import OrderedGraph, random_connected_graph
+from ordsearch.graph import OrderedGraph
 from ordsearch.ordinal import Ordinal
 from ordsearch.predicates import level_decomposition, verify_quotient_stability
 from ordsearch.search import bfs_search, deterministic_search
 from ordsearch.witness import (
     WitnessBuild,
+    _anchor_layout,
+    _build,
+    _piece_vertices,
     build_bfs_tree_witness,
-    build_padded_graph,
     build_zeta_witness,
     format_manifest,
-    truncation_embedding,
     verify_witness,
 )
 
@@ -113,6 +112,36 @@ class TestVerifyWitness:
         assert not verdict.all_pass()
 
 
+def truncation_embedding(m, n, k):
+    """Vertex map from build(m, n, k) into build(m, n, k+1).
+
+    Entry v is the vertex of the deeper build playing the role vertex v
+    plays in the shallower one: anchors map to anchors in order (the extra
+    anchor of the deeper build is skipped) and pieces embed recursively."""
+    if m == 0:
+        return tuple(range(n + 1))
+    if m == 1 and n == 0:
+        return tuple(range(k))
+    if n > 0:
+        sub = truncation_embedding(m, 0, k)
+        small_piece, big_piece = _build(m, 0, k), _build(m, 0, k + 1)
+        anchor_count_small = anchor_count_big = n + 1
+    else:
+        sub = truncation_embedding(m - 1, 0, k)
+        small_piece, big_piece = _build(m - 1, 0, k), _build(m - 1, 0, k + 1)
+        anchor_count_small, anchor_count_big = k, k + 1
+    total_s, anchors_s = _anchor_layout(anchor_count_small, small_piece.size)
+    total_b, anchors_b = _anchor_layout(anchor_count_big, big_piece.size)
+    pieces_s = _piece_vertices(n, anchor_count_small, small_piece.size, total_s)
+    pieces_b = _piece_vertices(n, anchor_count_big, big_piece.size, total_b)
+    mapping = {}
+    for i in range(anchor_count_small):
+        mapping[anchors_s[i]] = anchors_b[i]
+        for local, v in enumerate(pieces_s[i]):
+            mapping[v] = pieces_b[i][sub[local]]
+    return tuple(mapping[v] for v in range(total_s))
+
+
 class TestTruncationCoherence:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 0), (2, 2), (0, 3), (1, 0), (3, 0)])
     def test_deeper_build_extends_shallower(self, m, n):
@@ -136,32 +165,6 @@ class TestTruncationCoherence:
                         new >= old for new, old in zip(profile[1], previous[1])
                     )
                 previous = profile
-
-
-class TestBuildPaddedGraph:
-    def test_zero_extra_unchanged(self, six_cycle_tail):
-        assert build_padded_graph(six_cycle_tail, 0) == six_cycle_tail
-
-    def test_path_padded(self):
-        g = build_padded_graph(path_graph(3), 2)
-        assert deterministic_search(g).visit_order == (0, 1, 2, 3, 4)
-
-    def test_six_cycle_tail_padded(self, six_cycle_tail):
-        g = build_padded_graph(six_cycle_tail, 1)
-        assert deterministic_search(g).visit_order == (0, 1, 2, 4, 5, 3, 6)
-
-    def test_prefix_agreement_random(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            g = random_connected_graph(rng.randint(1, 30), 0.3, rng.randint(0, 9999))
-            extra = rng.randint(0, 6)
-            padded = build_padded_graph(g, extra)
-            tau = deterministic_search(g).visit_order
-            padded_tau = deterministic_search(padded).visit_order
-            assert padded_tau[: g.vertex_count] == tau
-            assert padded_tau[g.vertex_count :] == tuple(
-                range(g.vertex_count, g.vertex_count + extra)
-            )
 
 
 class TestBfsTreeWitness:
@@ -208,11 +211,6 @@ def test_builders_emit_canonical_graphs():
     for b in (2, 3, 4):
         for d in range(1, 7):
             assert_canonical(build_bfs_tree_witness(b, d))
-    rng = random.Random(55)
-    for _ in range(30):
-        g = random_connected_graph(rng.randint(1, 30), 0.3, rng.randint(0, 9999))
-        assert_canonical(build_padded_graph(g, rng.randint(1, 6)))
-    assert_canonical(build_padded_graph(build_zeta_witness(2, 1, 3).graph, 4))
 
 
 class TestManifest:
