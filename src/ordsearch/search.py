@@ -71,34 +71,43 @@ class SearchTrace(Run):
     """Deterministic search run.  Stage i picks visit_order[i]; the stage-0
     frontier is the start vertex alone.
 
-    Each call of ``stage_lines()`` replays the order, in time proportional
-    to the total size of the frontiers.  The replay keeps each frontier
-    vertex's decimal name beside it, so a trace line is one join over
-    strings that already exist and the whole trace costs about one copy of
-    its text.
+    Each call of ``stage_lines()`` replays the order.  The replay keeps the
+    sorted frontier's text in one byte buffer, so a trace line is a copy of
+    that buffer rather than a join over the frontier's names.  The trace
+    costs its own bytes, plus O(log n) bisects and one move of the buffer's
+    tail per discovered vertex: O(max degree * output) in the worst case.
     """
 
     def stage_lines(self) -> list[str]:
         adjacency = self.graph.adjacency
-        names = list(map(str, range(self.graph.vertex_count)))
         seen = bytearray(self.graph.vertex_count)
         start = self.visit_order[0]
         seen[start] = 1
-        # The sorted frontier and its vertices' names, in the same order.
+        # The sorted frontier, and its text: each name followed by a space.
         # The pick is the least frontier vertex, so its name comes first.
         frontier = [start]
-        frontier_names = [names[start]]
+        text = bytearray(b"%d " % start)
         lines = []
         for i, v in enumerate(self.visit_order):
-            lines.append(f"stage {i}: pick {frontier_names[0]} from {{{' '.join(frontier_names)}}}")
+            lines.append(f"stage {i}: pick {v} from {{{text[:-1].decode()}}}")
             del frontier[0]
-            del frontier_names[0]
+            del text[: len(str(v)) + 1]
             for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = 1
                     j = bisect_left(frontier, w)
+                    # A name's length grows with its value: each of the
+                    # first j names takes two bytes, plus one for every
+                    # power of ten 10**t, t >= 1, that it reaches.  Those
+                    # reaching 10**t are the last j - bisect_left(...) of
+                    # them, and none reaches a power above frontier[j - 1].
+                    offset = 2 * j
+                    power = 10
+                    while j and frontier[j - 1] >= power:
+                        offset += j - bisect_left(frontier, power, 0, j)
+                        power *= 10
                     frontier.insert(j, w)
-                    frontier_names.insert(j, names[w])
+                    text[offset:offset] = b"%d " % w
         return lines
 
 

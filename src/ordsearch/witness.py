@@ -192,18 +192,20 @@ def verify_witness(build: WitnessBuild) -> WitnessVerdict:
 
     # The block certificate and the quotient check share one partition and
     # interval check.  The blocks' member lists partition the vertices iff
-    # their sets do and no list repeats a member.
+    # their sets do and no list repeats a member.  Anchors are looked up
+    # only then: an empty block or a member outside the graph fails both.
     parts = [set(b.members) for b in build.blocks]
-    anchors = _interval_anchors(actual, run.positions, parts)
-    partition = _is_partition(parts, build.graph.vertex_count)
-    blocks_ok = partition and all(
-        len(part) == len(block.members) and block.members[0] == block.anchor == anchor
-        for block, part, anchor in zip(build.blocks, parts, anchors)
-    )
-    try:
-        quotient_ok = partition and _quotient_stable(run, parts, anchors)
-    except ValueError:
-        quotient_ok = False
+    blocks_ok = quotient_ok = False
+    if _is_partition(parts, build.graph.vertex_count):
+        anchors = _interval_anchors(actual, run.positions, parts)
+        blocks_ok = all(
+            len(part) == len(block.members) and block.members[0] == block.anchor == anchor
+            for block, part, anchor in zip(build.blocks, parts, anchors)
+        )
+        try:
+            quotient_ok = _quotient_stable(run, parts, anchors)
+        except ValueError:
+            pass
 
     expected_top = build.n + 1 if (build.n > 0 or build.m == 0) else build.k
     sizes = {len(b.members) for b in build.blocks}

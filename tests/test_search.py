@@ -56,6 +56,25 @@ def brute_force_stage_simulation(g, start):
     return tuple(order), tuple(frontiers)
 
 
+def replay_search_lines(g, start):
+    """Reference for ``SearchTrace.stage_lines``: a set frontier, sorted and
+    joined afresh at every stage, with neighbors read off the edge list."""
+    neighbors = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    frontier = {start}
+    visited = set()
+    lines = []
+    while frontier:
+        v = min(frontier)
+        lines.append(f"stage {len(lines)}: pick {v} from {{{' '.join(map(str, sorted(frontier)))}}}")
+        frontier.remove(v)
+        visited.add(v)
+        frontier.update(w for w in neighbors[v] if w not in visited)
+    return lines
+
+
 def brute_force_bfs_lines(g, start):
     """Reference for ``BfsTrace.stage_lines``: a plain queue simulation that
     reads neighbors off the edge list and formats every stage's whole queue
@@ -151,6 +170,16 @@ class TestDeterministicSearch:
             assert int(chosen) == min(frontier)
             frontiers.append(frontier)
         assert frontiers[1] == (1, 5)
+
+    def test_stage_lines_where_name_lengths_change(self):
+        # A path plus the chords (v, v + 9995) for v < 50: for about 10,000
+        # stages the frontier holds 5-digit names beside names of 1 to 4
+        # digits, so the text offsets count every power of ten below n.
+        n = 10_050
+        edges = [(v, v + 1) for v in range(n - 1)] + [(v, v + 9_995) for v in range(50)]
+        g = OrderedGraph(n, tuple(edges))
+        for start in (0, 999, 9_999, n - 1):
+            assert deterministic_search(g, start).stage_lines() == replay_search_lines(g, start)
 
     def test_stage_lines(self):
         trace = deterministic_search(path_graph(2))

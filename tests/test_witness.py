@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import path_graph, star_graph
@@ -7,6 +9,7 @@ from ordsearch.ordinal import Ordinal
 from ordsearch.predicates import level_decomposition, verify_quotient_stability
 from ordsearch.search import bfs_search, deterministic_search
 from ordsearch.witness import (
+    Block,
     WitnessBuild,
     _anchor_layout,
     _build,
@@ -110,6 +113,18 @@ class TestVerifyWitness:
         verdict = verify_witness(bad)
         assert not verdict.predicted_matches_search
         assert not verdict.all_pass()
+
+    def test_malformed_blocks_fail_without_raising(self):
+        good = build_zeta_witness(1, 1, 2)
+        first, *rest = good.blocks
+        for blocks in (
+            good.blocks + (Block(0, ()),),  # an empty block
+            (Block(first.anchor, (0, 1, 3, 9)), *rest),  # a member outside the graph
+        ):
+            verdict = verify_witness(replace(good, blocks=blocks))
+            assert verdict.predicted_matches_search
+            assert not verdict.blocks_are_intervals
+            assert not verdict.quotient_stable
 
 
 def truncation_embedding(m, n, k):
