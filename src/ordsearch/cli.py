@@ -141,8 +141,10 @@ def _cmd_enumerate(args) -> int:
     g = _read_graph(args.graph)
     kind = {"all": "all", "bfs": "breadth_first", "dfs": "depth_first"}[args.kind]
     ts = enumerate_traversals(g, kind, fixed_start=args.start)
-    for order in ts.sorted_orders():
-        print(_fmt(order))
+    # One C-level format per order, written as it is made: no joined copy
+    # of the output.
+    line = " ".join(["%d"] * g.vertex_count) + "\n"
+    sys.stdout.writelines(map(line.__mod__, ts.orders))
     return 0
 
 

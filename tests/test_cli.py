@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -269,6 +270,64 @@ def test_lexmin_has_no_enumeration_envelope(capsys, tmp_path):
     path.write_text(complete_graph_text(12))
     code, out, _ = run(capsys, "verify", str(path), "--suite", "lexmin")
     assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
+
+
+def test_lexmin_takes_linearithmic_time(capsys, tmp_path):
+    # A descent that scans every vertex at every position takes tens of
+    # seconds at this size; taking the least candidate off a heap, tens of
+    # milliseconds.
+    n = 20_000
+    path = tmp_path / "path"
+    path.write_text(f"n {n}\n" + "".join(f"e {i} {i + 1}\n" for i in range(n - 1)))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--suite", "lexmin")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
+
+
+class _DigestSink(io.TextIOBase):
+    """A text stream that keeps only a running hash and a byte count of
+    what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        data = text.encode()
+        self.digest.update(data)
+        self.size += len(data)
+        return len(text)
+
+
+def test_enumerate_streams_its_output(monkeypatch):
+    # Writing the output adds under 1 MB to the walk's own peak; joining
+    # the 40,320 lines first would add about 3 MB.
+    text = complete_graph_text(8)
+    g = deserialize(text)
+    tracemalloc.start()
+    try:
+        predicates.enumerate_traversals(g, "all")
+        _, walk_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["enumerate", "-", "--kind", "all"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < walk_peak + 2**20
+    orders = predicates.enumerate_traversals(g, "all").orders
+    expected = "".join(" ".join(map(str, o)) + "\n" for o in orders).encode()
+    assert (sink.digest.hexdigest(), sink.size) == (hashlib.sha256(expected).hexdigest(), len(expected))
 
 
 class TestVerify:

@@ -47,13 +47,12 @@ from ordsearch.witness import build_bfs_tree_witness
 
 
 def permutation_filter(g, predicate, fixed_start=None):
-    out = set()
-    for perm in itertools.permutations(range(g.vertex_count)):
-        if fixed_start is not None and perm[0] != fixed_start:
-            continue
-        if predicate(g, perm):
-            out.add(perm)
-    return out
+    if fixed_start is None:
+        perms = itertools.permutations(range(g.vertex_count))
+    else:
+        others = [v for v in range(g.vertex_count) if v != fixed_start]
+        perms = ((fixed_start,) + p for p in itertools.permutations(others))
+    return {perm for perm in perms if predicate(g, perm)}
 
 
 def safe_traversal(g, perm):
@@ -244,6 +243,29 @@ class TestEnumerateTraversals:
         assert len(orders) == count
         assert all(a < b for a, b in zip(orders, orders[1:]))
 
+    @pytest.mark.parametrize(
+        "g, counts",
+        [(path_graph(9), (256, 16, 16)), (cycle_graph(9), (1152, 18, 18))],
+        ids=["path", "cycle"],
+    )
+    def test_closed_form_counts_at_the_top_mask_bit(self, g, counts):
+        # Vertex 8 is bit 1 << 8, the highest the envelope allows.
+        for kind, count in zip(predicates.KINDS, counts):
+            orders = enumerate_traversals(g, kind).orders
+            assert len(orders) == count
+            assert all(a < b for a, b in zip(orders, orders[1:]))
+
+    def test_matches_permutation_filter_at_nine_vertices(self):
+        g = random_connected_graph(9, 0.4, 2018)
+        for kind, pred in (
+            ("all", safe_traversal),
+            ("breadth_first", safe_breadth_first),
+            ("depth_first", safe_depth_first),
+        ):
+            assert enumerate_traversals(g, kind, fixed_start=8).sorted_orders() == sorted(
+                permutation_filter(g, pred, fixed_start=8)
+            )
+
     def test_vertex_envelope(self):
         assert len(enumerate_traversals(path_graph(predicates.MAX_ENUMERATION_VERTICES))) == 2 ** (
             predicates.MAX_ENUMERATION_VERTICES - 1
@@ -320,6 +342,14 @@ class TestExtremality:
             for g in all_connected_graphs(n):
                 assert list(verify_lex_min(g).items()) == LEX_MIN_PASS
                 assert list(verify_colex_max(g).items()) == COLEX_MAX_PASS
+
+    def test_least_order_is_the_first_order_of_the_walk(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                for kind in ("all", "breadth_first"):
+                    assert predicates._least_order(g, kind) == next(
+                        predicates._lex_orders(g, kind, (0,))
+                    )
 
 
 class TestClosureSamples:
