@@ -25,9 +25,11 @@ Traversal = tuple[int, ...]
 """A sequence listing every vertex exactly once, read as a vertex order."""
 
 MAX_VERTICES = 1_000_000
-"""The largest vertex count ``deserialize`` accepts.  Searches allocate per
-vertex, so a header alone must not be able to ask for gigabytes; the bound
-lies five times above the largest graphs the package is measured on."""
+"""The largest vertex count ``deserialize`` and ``random_connected_graph``
+accept.  Searches allocate per vertex, so a header alone must not be able to
+ask for gigabytes.  Witness builds are bounded by their envelope instead
+(``witness.MAX_M``, ``MAX_N``, ``MAX_K``): the largest has 1,864,135
+vertices, 1.86 times this bound."""
 
 MAX_RANDOM_EDGES = 1_000_000
 """The largest expected number of random pairs, density * n * (n - 1) / 2,

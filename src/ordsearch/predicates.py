@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -365,57 +366,83 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
     stays inside the part and descends in the order to the first element,
     along graph edges.  So partition, interval and closure are checked, and
     connectivity follows."""
-    part_sets = [set(p) for p in parts]
-    if not _is_partition(part_sets, run.graph.vertex_count):
+    parts = [tuple(p) for p in parts]
+    partition = _interval_partition(parts, run.positions)
+    if partition is None:
         raise ValueError("parts do not partition the vertex set")
-    tau, positions, _ = _run_facts(run)
-    return _quotient_stable(run, part_sets, _interval_anchors(tau, positions, part_sets))
+    block_of, _, anchors = partition
+    return _quotient_stable(run, parts, block_of, anchors)
 
 
-def _is_partition(part_sets: Sequence[set[int]], vertex_count: int) -> bool:
-    """The parts are nonempty and cover each vertex exactly once."""
-    return all(part_sets) and sorted(v for part in part_sets for v in part) == list(range(vertex_count))
+def _interval_partition(
+    parts: Sequence[Sequence[int]], positions: Sequence[int]
+) -> tuple[list[int], list[int], list[int | None]] | None:
+    """Each vertex's part, each part's size and each part's first vertex in
+    the order whose positions are given (None for a part that is not an
+    interval of that order); None unless the parts are nonempty and cover
+    each vertex exactly once.  A member listed twice in its own part counts
+    once, as in a set.
 
-
-def _interval_anchors(
-    tau: Traversal, positions: Sequence[int], part_sets: Sequence[set[int]]
-) -> list[int | None]:
-    """Each part's first vertex in the order tau, or None for a part that is
-    not an interval of tau."""
-    anchors = []
-    for part in part_sets:
-        by_pos = sorted(positions[v] for v in part)
-        anchors.append(tau[by_pos[0]] if by_pos[-1] - by_pos[0] + 1 == len(part) else None)
-    return anchors
+    Given a partition, a part is an interval iff its positions span exactly
+    its size, so a min and a max of its positions decide it: O(n) in all,
+    with no set, dict or sort over the vertices."""
+    vertex_count = len(positions)
+    block_of = [-1] * vertex_count
+    sizes = []
+    for i, part in enumerate(parts):
+        if not part or min(part) < 0 or max(part) >= vertex_count:
+            return None
+        size = 0
+        for v in part:
+            b = block_of[v]
+            if b < 0:
+                block_of[v] = i
+                size += 1
+            elif b != i:
+                return None
+        sizes.append(size)
+    if sum(sizes) != vertex_count:
+        return None
+    at = positions.__getitem__
+    anchors: list[int | None] = []
+    for part, size in zip(parts, sizes):
+        first = min(part, key=at)
+        anchors.append(first if at(max(part, key=at)) - at(first) + 1 == size else None)
+    return block_of, sizes, anchors
 
 
 def _quotient_stable(
-    run: SearchTrace, part_sets: Sequence[set[int]], anchors: Sequence[int | None]
+    run: SearchTrace,
+    parts: Sequence[Sequence[int]],
+    block_of: Sequence[int],
+    anchors: Sequence[int | None],
 ) -> bool:
-    """``verify_quotient_stability`` on a partition of the vertex set, with
-    each part's anchor from ``_interval_anchors``."""
+    """``verify_quotient_stability`` on a partition of the vertex set, read
+    off ``_interval_partition``."""
     g = run.graph
     _, positions, parent = _run_facts(run)
-    for i, (part, anchor) in enumerate(zip(part_sets, anchors)):
+    for i, (part, anchor) in enumerate(zip(parts, anchors)):
         if anchor is None:
             raise ValueError(f"part {i} is not an interval of the traversal")
         for v in part:
-            if v != anchor and parent[v] not in part:
+            if v != anchor and block_of[parent[v]] != i:
                 raise ValueError(
                     f"part {i} is not closed under the least-neighbor map at vertex {v}"
                 )
     # Quotient input order: parts sorted by their anchors' vertex numbers.
-    order_of_parts = sorted(range(len(part_sets)), key=lambda i: anchors[i])
+    order_of_parts = sorted(range(len(parts)), key=anchors.__getitem__)
+    quotient_vertex = invert_permutation(order_of_parts)
+    # The distinct pairs of parts that the edges join, gathered at C speed.
+    part_of = block_of.__getitem__
+    joined = set(
+        zip(map(part_of, map(itemgetter(0), g.edges)), map(part_of, map(itemgetter(1), g.edges)))
+    )
     quotient_edges = set()
-    vertex_part = {}
-    for qi, pi in enumerate(order_of_parts):
-        for v in part_sets[pi]:
-            vertex_part[v] = qi
-    for u, v in g.edges:
-        qu, qv = vertex_part[u], vertex_part[v]
-        if qu != qv:
-            quotient_edges.add((min(qu, qv), max(qu, qv)))
-    quotient = OrderedGraph._canonical(len(part_sets), tuple(sorted(quotient_edges)))
+    for a, b in joined:
+        if a != b:
+            qa, qb = quotient_vertex[a], quotient_vertex[b]
+            quotient_edges.add((qa, qb) if qa < qb else (qb, qa))
+    quotient = OrderedGraph._canonical(len(parts), tuple(sorted(quotient_edges)))
     quotient_order = deterministic_search(quotient, 0).visit_order
     searched = [anchors[order_of_parts[qi]] for qi in quotient_order]
     expected = sorted(anchors, key=positions.__getitem__)

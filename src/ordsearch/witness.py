@@ -21,15 +21,26 @@ The predicted traversal is assembled compositionally: blocks follow the
 anchors' order and inside a block the anchor comes first, then the piece's
 own predicted traversal.  The search itself is never consulted for the
 prediction; agreement with the actual search output is a checked verdict.
+
+Nothing is copied or sorted that the output does not need.  The build emits
+every edge as (min, max), so one sort over its presorted runs makes the
+edges canonical, and the top-level blocks are slices of the predicted
+traversal.  ``verify_witness`` checks the blocks in O(n) beside the search,
+and ``format_manifest`` makes the whole certificate with one format.  The
+envelope (``MAX_M``, ``MAX_N``, ``MAX_K``) bounds the builds;
+``graph.MAX_VERTICES`` bounds parsed and random graphs only.  The largest
+build, (3, 6, 64), has 1,864,135 vertices, 1.86 times that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
-from .graph import OrderedGraph, Traversal, serialize
+from .graph import OrderedGraph, Traversal
 from .ordinal import OMEGA, Ordinal, zeta
-from .predicates import _interval_anchors, _is_partition, _quotient_stable
+from .predicates import _interval_partition, _quotient_stable
 from .search import deterministic_search
 
 MAX_M = 3
@@ -88,15 +99,6 @@ class WitnessVerdict:
         }
 
 
-@dataclass(frozen=True)
-class _Part:
-    size: int
-    edges: tuple[tuple[int, int], ...]
-    predicted: tuple[int, ...]
-    blocks: tuple[Block, ...]
-    depth: int
-
-
 def _check_envelope(m: int, n: int, k: int) -> None:
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
@@ -104,6 +106,11 @@ def _check_envelope(m: int, n: int, k: int) -> None:
         raise ValueError(
             f"parameters outside the supported envelope (m <= {MAX_M}, n <= {MAX_N}, 1 <= k <= {MAX_K})"
         )
+
+
+def _top_block_count(m: int, n: int, k: int) -> int:
+    """Number of anchors at the top level, one block each."""
+    return n + 1 if (n > 0 or m == 0) else k
 
 
 def _anchor_layout(anchor_count: int, piece_size: int) -> tuple[int, list[int]]:
@@ -117,100 +124,103 @@ def _anchor_layout(anchor_count: int, piece_size: int) -> tuple[int, list[int]]:
 def _piece_vertices(n: int, anchor_count: int, piece_size: int, total: int) -> list[list[int]]:
     """Split the middle of the vertex order (everything between vertex 0 and
     the top anchors) into one piece per anchor: interleaved for finite tails,
-    consecutive runs for the truncated-limit case."""
+    consecutive runs for the truncated-limit case.  Each piece ascends."""
     middle = range(1, total - anchor_count + 1)
     if n > 0:
-        return [
-            [v for v in middle if (v - 1) % anchor_count == i]
-            for i in range(anchor_count)
-        ]
+        return [list(middle[i::anchor_count]) for i in range(anchor_count)]
     return [
         list(middle[i * piece_size : (i + 1) * piece_size])
         for i in range(anchor_count)
     ]
 
 
-def _identity_part(size: int, depth: int) -> _Part:
-    edges = tuple((i, i + 1) for i in range(size - 1))
-    blocks = tuple(Block(i, (i,)) for i in range(size))
-    return _Part(size, edges, tuple(range(size)), blocks, depth)
+_Part = tuple[int, list[tuple[int, int]], Sequence[int], int]
+"""A build's size, its edges as (min, max) pairs, its predicted traversal and
+its nesting depth."""
+
+
+def _path(size: int, depth: int) -> _Part:
+    return size, [(i, i + 1) for i in range(size - 1)], range(size), depth
 
 
 def _build(m: int, n: int, k: int) -> _Part:
+    """The truncated witness, with every edge emitted as (min, max): the
+    anchor path ascends, vertex 0 lies below piece 0 and every other anchor
+    above its piece, and each piece ascends, so the piece's own edges keep
+    their orientation."""
     if m == 0:
-        return _identity_part(n + 1, 0)
+        return _path(n + 1, 0)
     if m == 1 and n == 0:
-        return _identity_part(k, 1)
+        return _path(k, 1)
     if n > 0:
-        piece = _build(m, 0, k)
+        size, piece_edges, piece_order, depth = _build(m, 0, k)
         anchor_count = n + 1
-        depth = piece.depth
     else:
-        piece = _build(m - 1, 0, k)
+        size, piece_edges, piece_order, depth = _build(m - 1, 0, k)
         anchor_count = k
-        depth = piece.depth + 1
-    total, anchors = _anchor_layout(anchor_count, piece.size)
-    pieces = _piece_vertices(n, anchor_count, piece.size, total)
-    edges = [(anchors[i], anchors[i + 1]) for i in range(anchor_count - 1)]
+        depth += 1
+    total, anchors = _anchor_layout(anchor_count, size)
+    pieces = _piece_vertices(n, anchor_count, size, total)
+    edges = list(zip(anchors, anchors[1:]))
     predicted: list[int] = []
-    blocks: list[Block] = []
-    for i in range(anchor_count):
-        verts = pieces[i]
-        edges.append((anchors[i], verts[0]))
-        edges.extend((verts[a], verts[b]) for a, b in piece.edges)
-        transported = tuple(verts[j] for j in piece.predicted)
-        predicted.append(anchors[i])
-        predicted.extend(transported)
-        blocks.append(Block(anchors[i], (anchors[i],) + transported))
-    return _Part(total, tuple(edges), tuple(predicted), tuple(blocks), depth)
+    for anchor, verts in zip(anchors, pieces):
+        edges.append((anchor, verts[0]) if anchor == 0 else (verts[0], anchor))
+        edges.extend([(verts[a], verts[b]) for a, b in piece_edges])
+        predicted.append(anchor)
+        predicted.extend(map(verts.__getitem__, piece_order))
+    return total, edges, predicted, depth
 
 
 def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
     """Truncated witness for target order type w*m + n at depth k."""
     _check_envelope(m, n, k)
-    part = _build(m, n, k)
-    # _build lists each edge once, but not all as (min, max): normalize and
-    # sort once, and skip the checking constructor.
-    edges = [(u, v) if u < v else (v, u) for u, v in part.edges]
+    size, edges, predicted, depth = _build(m, n, k)
+    # The edges are (min, max) already and listed once, in presorted runs:
+    # one sort makes them canonical, and the checking constructor is skipped.
     edges.sort()
+    predicted = tuple(predicted)
+    # Each top-level block is the anchor followed by its piece: a slice.
+    step = size // _top_block_count(m, n, k)
+    blocks = tuple(Block(predicted[i], predicted[i : i + step]) for i in range(0, size, step))
     return WitnessBuild(
-        graph=OrderedGraph._canonical(part.size, tuple(edges)),
-        predicted=part.predicted,
-        blocks=part.blocks,
+        graph=OrderedGraph._canonical(size, tuple(edges)),
+        predicted=predicted,
+        blocks=blocks,
         m=m,
         n=n,
         k=k,
-        nesting_depth=part.depth,
+        nesting_depth=depth,
     )
 
 
 def verify_witness(build: WitnessBuild) -> WitnessVerdict:
-    """Check the build's certificate against an actual search run."""
-    run = deterministic_search(build.graph, 0)
-    actual = run.visit_order
-    predicted_ok = actual == build.predicted
+    """Check the build's certificate against an actual search run.
 
-    # The block certificate and the quotient check share one partition and
-    # interval check.  The blocks' member lists partition the vertices iff
-    # their sets do and no list repeats a member.  Anchors are looked up
-    # only then: an empty block or a member outside the graph fails both.
-    parts = [set(b.members) for b in build.blocks]
+    The block certificate and the quotient check share one partition and
+    interval check, which reads one list of each vertex's block: no set,
+    dict or sort over the vertices.  A malformed block list (an empty block,
+    a member outside the graph, a vertex in two blocks or in none) fails
+    both verdicts; a member repeated within its own block still partitions,
+    as in a set, and fails only the block check."""
+    run = deterministic_search(build.graph, 0)
+    predicted_ok = run.visit_order == build.predicted
+    parts = [block.members for block in build.blocks]
     blocks_ok = quotient_ok = False
-    if _is_partition(parts, build.graph.vertex_count):
-        anchors = _interval_anchors(actual, run.positions, parts)
+    partition = _interval_partition(parts, run.positions)
+    if partition is not None:
+        block_of, sizes, anchors = partition
         blocks_ok = all(
-            len(part) == len(block.members) and block.members[0] == block.anchor == anchor
-            for block, part, anchor in zip(build.blocks, parts, anchors)
+            size == len(block.members) and block.members[0] == block.anchor == anchor
+            for block, size, anchor in zip(build.blocks, sizes, anchors)
         )
         try:
-            quotient_ok = _quotient_stable(run, parts, anchors)
+            quotient_ok = _quotient_stable(run, parts, block_of, anchors)
         except ValueError:
             pass
 
-    expected_top = build.n + 1 if (build.n > 0 or build.m == 0) else build.k
     sizes = {len(b.members) for b in build.blocks}
     profile_ok = (
-        len(build.blocks) == expected_top
+        len(build.blocks) == _top_block_count(build.m, build.n, build.k)
         and len(sizes) == 1
         and build.nesting_depth == build.m
     )
@@ -238,16 +248,29 @@ def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
 
 def format_manifest(build: WitnessBuild) -> str:
     """Printable witness certificate: parameters, the graph, the predicted
-    traversal and one line per block."""
-    lines = [
-        f"witness m={build.m} n={build.n} k={build.k} "
-        f"alpha={build.alpha} zeta={build.zeta_value}",
-        "# truncated construction; the block certificate is evidence, not proof",
-    ]
-    lines.append(serialize(build.graph).rstrip("\n"))
-    lines.append("predicted: " + " ".join(map(str, build.predicted)))
-    for block in build.blocks:
-        lines.append(
-            f"block: anchor={block.anchor} members=" + " ".join(map(str, block.members))
+    traversal and one line per block.  One template holds every line and
+    one flat tuple every number, so the text is made by one C-level format,
+    without a string per line or a join."""
+    g = build.graph
+    template = "".join(
+        [
+            "witness m=%d n=%d k=%d alpha=%s zeta=%s\n",
+            "# truncated construction; the block certificate is evidence, not proof\n",
+            "n %d\n",
+            "e %d %d\n" * len(g.edges),
+            "predicted: " + " ".join(["%d"] * len(build.predicted)) + "\n",
+            *(
+                "block: anchor=%d members=" + " ".join(["%d"] * len(block.members)) + "\n"
+                for block in build.blocks
+            ),
+        ]
+    )
+    values = tuple(
+        chain(
+            (build.m, build.n, build.k, build.alpha, build.zeta_value, g.vertex_count),
+            chain.from_iterable(g.edges),
+            build.predicted,
+            chain.from_iterable((block.anchor, *block.members) for block in build.blocks),
         )
-    return "\n".join(lines) + "\n"
+    )
+    return template % values

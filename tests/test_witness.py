@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -117,14 +118,19 @@ class TestVerifyWitness:
     def test_malformed_blocks_fail_without_raising(self):
         good = build_zeta_witness(1, 1, 2)
         first, *rest = good.blocks
-        for blocks in (
-            good.blocks + (Block(0, ()),),  # an empty block
-            (Block(first.anchor, (0, 1, 3, 9)), *rest),  # a member outside the graph
+        # The four verdicts, in CLI order.
+        for blocks, verdicts in (
+            (good.blocks + (Block(0, ()),), (True, False, False, False)),  # an empty block
+            ((Block(first.anchor, (0, 1, 3, 9)), *rest), (True, False, False, False)),  # outside the graph
+            ((Block(first.anchor, (0, 1, 3, -1)), *rest), (True, False, False, False)),  # negative
+            # A member repeated within its own block still partitions the
+            # vertices, so only the block check fails on the length.
+            ((Block(first.anchor, (0, 1, 3, 1)), *rest), (True, False, True, False)),
+            ((Block(first.anchor, (0, 1)), *rest), (True, False, False, False)),  # vertex 3 missing
+            ((Block(first.anchor, (0, 1, 3, 5)), *rest), (True, False, False, False)),  # 5 in two blocks
         ):
             verdict = verify_witness(replace(good, blocks=blocks))
-            assert verdict.predicted_matches_search
-            assert not verdict.blocks_are_intervals
-            assert not verdict.quotient_stable
+            assert tuple(verdict.by_name().values()) == verdicts, blocks
 
 
 def truncation_embedding(m, n, k):
@@ -139,16 +145,16 @@ def truncation_embedding(m, n, k):
         return tuple(range(k))
     if n > 0:
         sub = truncation_embedding(m, 0, k)
-        small_piece, big_piece = _build(m, 0, k), _build(m, 0, k + 1)
+        small_size, big_size = _build(m, 0, k)[0], _build(m, 0, k + 1)[0]
         anchor_count_small = anchor_count_big = n + 1
     else:
         sub = truncation_embedding(m - 1, 0, k)
-        small_piece, big_piece = _build(m - 1, 0, k), _build(m - 1, 0, k + 1)
+        small_size, big_size = _build(m - 1, 0, k)[0], _build(m - 1, 0, k + 1)[0]
         anchor_count_small, anchor_count_big = k, k + 1
-    total_s, anchors_s = _anchor_layout(anchor_count_small, small_piece.size)
-    total_b, anchors_b = _anchor_layout(anchor_count_big, big_piece.size)
-    pieces_s = _piece_vertices(n, anchor_count_small, small_piece.size, total_s)
-    pieces_b = _piece_vertices(n, anchor_count_big, big_piece.size, total_b)
+    total_s, anchors_s = _anchor_layout(anchor_count_small, small_size)
+    total_b, anchors_b = _anchor_layout(anchor_count_big, big_size)
+    pieces_s = _piece_vertices(n, anchor_count_small, small_size, total_s)
+    pieces_b = _piece_vertices(n, anchor_count_big, big_size, total_b)
     mapping = {}
     for i in range(anchor_count_small):
         mapping[anchors_s[i]] = anchors_b[i]
@@ -250,3 +256,105 @@ class TestManifest:
             b = build_zeta_witness(m, n, k)
             parts = [set(blk.members) for blk in b.blocks]
             assert verify_quotient_stability(deterministic_search(b.graph), parts)
+
+
+def _reference_build(m, n, k):
+    """The build as it was made before its edges came out canonical:
+    (size, edges, predicted, blocks, depth), with every level's blocks
+    copied, the pieces interleaved by filtering the middle, and the edges
+    normalized and sorted at the end.  The blocks are (anchor, members)
+    pairs."""
+
+    def part(m, n):
+        if m == 0 or (m == 1 and n == 0):
+            size = n + 1 if m == 0 else k
+            return size, [(i, i + 1) for i in range(size - 1)], tuple(range(size)), [(i, (i,)) for i in range(size)], m
+        if n > 0:
+            piece_size, piece_edges, piece_predicted, _, depth = part(m, 0)
+            anchor_count = n + 1
+        else:
+            piece_size, piece_edges, piece_predicted, _, depth = part(m - 1, 0)
+            anchor_count = k
+            depth += 1
+        total = anchor_count * (piece_size + 1)
+        anchors = [0] + [total - anchor_count + 1 + j for j in range(anchor_count - 1)]
+        middle = range(1, total - anchor_count + 1)
+        if n > 0:
+            pieces = [[v for v in middle if (v - 1) % anchor_count == i] for i in range(anchor_count)]
+        else:
+            pieces = [list(middle[i * piece_size : (i + 1) * piece_size]) for i in range(anchor_count)]
+        edges = [(anchors[i], anchors[i + 1]) for i in range(anchor_count - 1)]
+        predicted, blocks = [], []
+        for anchor, verts in zip(anchors, pieces):
+            edges.append((anchor, verts[0]))
+            edges.extend((verts[a], verts[b]) for a, b in piece_edges)
+            transported = tuple(verts[j] for j in piece_predicted)
+            predicted.append(anchor)
+            predicted.extend(transported)
+            blocks.append((anchor, (anchor,) + transported))
+        return total, edges, tuple(predicted), blocks, depth
+
+    size, edges, predicted, blocks, depth = part(m, n)
+    edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+    return size, edges, predicted, blocks, depth
+
+
+def _reference_manifest(build):
+    """The manifest joined line by line, as it was printed before one
+    template held it."""
+    lines = [
+        f"witness m={build.m} n={build.n} k={build.k} "
+        f"alpha={build.alpha} zeta={build.zeta_value}",
+        "# truncated construction; the block certificate is evidence, not proof",
+        f"n {build.graph.vertex_count}",
+    ]
+    lines.extend(f"e {u} {v}" for u, v in build.graph.edges)
+    lines.append("predicted: " + " ".join(map(str, build.predicted)))
+    for block in build.blocks:
+        lines.append(f"block: anchor={block.anchor} members=" + " ".join(map(str, block.members)))
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstReference:
+    # Above criterion 7's grid: (3, 1, 16) has 8,738 vertices and (3, 0, 40),
+    # traverse-large's build, 65,640.
+    LARGE = [(3, 1, 16), (3, 0, 40)]
+
+    def test_build_and_manifest_match_the_reference(self):
+        for m, n, k in [*_witness_grid(), *self.LARGE]:
+            build = build_zeta_witness(m, n, k)
+            size, edges, predicted, blocks, depth = _reference_build(m, n, k)
+            assert build.graph == OrderedGraph._canonical(size, edges), (m, n, k)
+            assert build.predicted == predicted, (m, n, k)
+            assert [(b.anchor, b.members) for b in build.blocks] == blocks, (m, n, k)
+            assert build.nesting_depth == depth, (m, n, k)
+            assert format_manifest(build) == _reference_manifest(build), (m, n, k)
+        assert build_zeta_witness(3, 1, 16).graph.vertex_count == 8_738
+
+    def test_above_the_grid_passes_all_verdicts(self):
+        assert verify_witness(build_zeta_witness(3, 1, 16)).all_pass()
+
+    def test_malformed_manifest_matches_the_reference(self):
+        good = build_zeta_witness(1, 1, 2)
+        for blocks in (good.blocks + (Block(0, ()),), ()):
+            build = replace(good, blocks=blocks, predicted=())
+            assert format_manifest(build) == _reference_manifest(build)
+
+
+def test_build_and_verify_peak_memory():
+    # traverse-large's build keeps about 7.4 MB.  The build peaks at 8.0 MB
+    # and the check at 10.7 MB above what the build keeps; when every level's
+    # blocks were copied and the check made a set per block and sorted every
+    # vertex, these were 12.0 and 16.7 MB.
+    tracemalloc.start()
+    try:
+        build = build_zeta_witness(3, 0, 40)
+        kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        verdict = verify_witness(build)
+        _, verify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.all_pass()
+    assert build_peak < 10 * 10**6
+    assert verify_peak - kept < 13 * 10**6
