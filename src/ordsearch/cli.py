@@ -9,7 +9,12 @@ arguments.
 
 The argument parser is built on the first call of ``main`` and reused; it
 holds only this module's handlers, which look up library functions by name
-when they run.
+when they run.  Each request is parsed once: when the first argument names a
+command, that command's own parser reads the rest, as the full parser would
+hand it over.  Every other request goes through the full parser, so that its
+usage, help and error text stay as they are: no arguments, an option or an
+unknown word first, and arguments the command leaves over ("unrecognized
+arguments" is the full parser's error).
 """
 
 from __future__ import annotations
@@ -249,6 +254,11 @@ def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="ordsearch",
         description="Graph search traversals, order predicates, ordinal bounds "
@@ -331,17 +341,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", type=int, default=None, help="run a single criterion by number")
     p.set_defaults(func=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """One parse of the request; see the module docstring."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+        _parser, _commands = _build_parsers()
+    args = _parse(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OrdinalParseError, DisconnectedGraphError, ValueError, OSError) as exc:

@@ -36,8 +36,10 @@ each position, in O((n+m) log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
-from operator import itemgetter
+from itertools import combinations
+from operator import itemgetter, or_
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -312,17 +314,38 @@ def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], tuple[int,
 
 def closure_samples(run: SearchTrace, seed: int, count: int) -> list[frozenset[int]]:
     """Vertex sets closed under the run's least-neighbor map, obtained by
-    closing random seed sets.  At most ``count`` distinct sets are returned
-    (small graphs may admit fewer)."""
-    _, _, parent = _run_facts(run)
+    closing random seed sets of one to three vertices in at most 20·count
+    draws.  At most ``count`` distinct sets are returned (small graphs may
+    admit fewer).
+
+    The closure of a seed set is the union of its vertices' ancestor chains
+    under the map, and the n one-vertex chains are pairwise distinct, so
+    fewer than ``count`` sets can be drawn only when n < count.  Then the
+    drawable unions are counted as bit masks, and the loop stops at the draw
+    that yields the last of them: no later draw could add a set, so the list
+    is the one the full 20·count draws give."""
+    tau, _, parent = _run_facts(run)
+    n = run.graph.vertex_count
+    limit = count
+    if n < count:
+        chains = [0] * n
+        for v in tau:
+            # The root is its own parent, and its chain is still empty here.
+            chains[v] = (1 << v) | chains[parent[v]]
+        unions = {
+            reduce(or_, seeds)
+            for size in range(1, min(3, n) + 1)
+            for seeds in combinations(chains, size)
+        }
+        limit = min(count, len(unions))
     rng = random.Random(seed)
     out: list[frozenset[int]] = []
     seen = set()
     for _ in range(20 * count):
-        if len(out) == count:
+        if len(out) == limit:
             break
-        size = rng.randint(1, min(3, run.graph.vertex_count))
-        pending = set(rng.sample(range(run.graph.vertex_count), size))
+        size = rng.randint(1, min(3, n))
+        pending = set(rng.sample(range(n), size))
         closed: set[int] = set()
         while pending:
             v = pending.pop()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -12,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dispatch_corpus
 from ordsearch import acceptance, cli, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
@@ -627,6 +629,8 @@ def test_argv_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
     message = err.getvalue()
     assert code in (0, 1, 2), (argv, message)
     assert "Traceback" not in message
+    new, old = dispatch_corpus.both(argv)
+    assert new == old, argv
 
 
 class TestSelftest:
@@ -724,6 +728,31 @@ class TestCachedParser:
         monkeypatch.setattr(cli, "bfs_search", patched)
         assert run(capsys, "bfs", six_file, "--start", "2") == (0, "2 1 4 0 5 3\n", "")
         assert calls == [2]
+
+
+class TestDispatch:
+    """A request naming a command is parsed by that command's parser alone;
+    it must answer as the full parser's route does."""
+
+    @pytest.mark.parametrize(
+        "template", dispatch_corpus.CORPUS, ids=lambda argv: " ".join(argv) or "(none)"
+    )
+    def test_matches_the_full_parser(self, six_file, template):
+        argv = [word.format(six=six_file) for word in template]
+        new, old = dispatch_corpus.both(argv)
+        assert new == old
+
+    def test_a_request_is_parsed_once(self, capsys, monkeypatch, six_file):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(capsys, "search", six_file, "--start", "3") == (0, "3 5 0 1 2 4\n", "")
+        assert parsed == ["ordsearch search"]
 
 
 class TestUsage:

@@ -352,7 +352,100 @@ class TestExtremality:
                     )
 
 
+def drawn_seed_sets(n, seed, draws):
+    """The seed sets the sampler draws, in order.  Its random calls depend
+    on n and the seed only, not on the graph."""
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(draws):
+        size = rng.randint(1, min(3, n))
+        drawn.append(frozenset(rng.sample(range(n), size)))
+    return drawn
+
+
+def closure(parent, seeds):
+    """The seed set closed under the least-neighbor map, as the sampler
+    closed it before it stopped at saturation."""
+    pending = set(seeds)
+    closed = set()
+    while pending:
+        v = pending.pop()
+        closed.add(v)
+        if parent[v] not in closed:
+            pending.add(parent[v])
+    return frozenset(closed)
+
+
+def reference_samples(closures, count):
+    """The sampler's loop before it stopped at saturation, on the closures
+    of its draws: the first ``count`` distinct sets among the first
+    20·count draws, all of which it made when fewer sets exist."""
+    out = []
+    seen = set()
+    for key in closures[: 20 * count]:
+        if len(out) == count:
+            break
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+SAMPLE_COUNTS = (1, 3, 12, 25, 40)
+
+
 class TestClosureSamples:
+    def test_matches_the_full_loop_exhaustively(self):
+        # The sampler reads only n and the run's least-neighbor map, so one
+        # run per distinct map covers every connected graph with n <= 6.
+        # Every seed 0-9 runs on each map up to n = 5, and one seed per map
+        # (in turn) on the 1,296 maps with n = 6, which keeps the test to a
+        # few seconds.
+        for n in range(1, 7):
+            drawn = {seed: drawn_seed_sets(n, seed, 20 * max(SAMPLE_COUNTS)) for seed in range(10)}
+            seed_sets = set().union(*drawn.values())
+            runs = {}
+            for g in all_connected_graphs(n):
+                run = deterministic_search(g)
+                runs.setdefault(run.least_neighbors, run)
+            for index, (parent, run) in enumerate(runs.items()):
+                closed = {s: closure(parent, s) for s in seed_sets}
+                for seed in range(10) if n <= 5 else [index % 10]:
+                    closures = [closed[s] for s in drawn[seed]]
+                    for count in SAMPLE_COUNTS:
+                        expected = reference_samples(closures, count)
+                        assert closure_samples(run, seed, count) == expected, (parent, seed, count)
+
+    def test_matches_the_full_loop_on_random_graphs(self):
+        rng = random.Random(18)
+        for _ in range(60):
+            n = rng.choice([rng.randint(1, 12), rng.randint(13, 200)])
+            run = deterministic_search(random_connected_graph(n, rng.choice([0.05, 0.3]), rng.randint(0, 9999)))
+            seed, count = rng.randint(0, 999), rng.choice(SAMPLE_COUNTS)
+            closures = [closure(run.least_neighbors, s) for s in drawn_seed_sets(n, seed, 20 * count)]
+            assert closure_samples(run, seed, count) == reference_samples(closures, count), (n, seed, count)
+
+    def test_stops_at_the_draw_that_yields_the_last_set(self, monkeypatch):
+        # A path searched from 0 has exactly its 5 prefixes as closed sets.
+        run = deterministic_search(path_graph(5))
+        draws = 0
+
+        class Counting(random.Random):
+            def randint(self, a, b):
+                nonlocal draws
+                draws += 1
+                return super().randint(a, b)
+
+        for seed in range(10):
+            closures = [closure(run.least_neighbors, s) for s in drawn_seed_sets(5, seed, 240)]
+            last = max(closures.index(w) for w in set(closures))
+            assert len(set(closures)) == 5 and last < 239
+            draws = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(predicates.random, "Random", Counting)
+                assert len(closure_samples(run, seed, 12)) == 5
+            assert draws == last + 1
+
     def test_closure_of_root_is_trivial(self, six_cycle_tail):
         tau = deterministic_search(six_cycle_tail).visit_order
         parent = least_neighbor_map(six_cycle_tail, tau)
