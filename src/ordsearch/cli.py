@@ -39,7 +39,7 @@ from .graph import (
 from .ordinal import Ordinal, OrdinalParseError, zeta
 from .predicates import (
     closure_samples,
-    enumerate_traversals,
+    enumeration_lines,
     is_breadth_first,
     is_depth_first,
     is_traversal,
@@ -145,11 +145,9 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _read_graph(args.graph)
     kind = {"all": "all", "bfs": "breadth_first", "dfs": "depth_first"}[args.kind]
-    ts = enumerate_traversals(g, kind, fixed_start=args.start)
-    # One C-level format per order, written as it is made: no joined copy
-    # of the output.
-    line = " ".join(["%d"] * g.vertex_count) + "\n"
-    sys.stdout.writelines(map(line.__mod__, ts.orders))
+    # The walk makes each line as it places the vertices, and each is
+    # written as it is made: no order is held and none is formatted.
+    sys.stdout.writelines(enumeration_lines(g, kind, args.start))
     return 0
 
 

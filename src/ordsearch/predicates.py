@@ -27,10 +27,18 @@ completes, so nothing is pruned and no predicate runs; the tests compare the
 output, order included, with brute-force permutation filtering through the
 predicates above.  Enumeration is capped at ``MAX_ENUMERATION_VERTICES``
 vertices, so the walk keeps its vertex sets as bit masks, one per depth, and
-a step is a few mask operations.  ``verify_colex_max`` takes a maximum over
-the walk in O(n) memory.  ``verify_lex_min`` has no vertex cap; it builds
-each least order directly (``_least_order``), taking the least candidate at
-each position, in O((n+m) log n).
+a step is a few mask operations.
+
+The walk (``_lex_walk``) folds each order as it places it: every vertex
+placed adds its term for that position to the prefix's running value, so a
+finished order comes out already made into what its caller wants.  The
+last position is forced, since one vertex is left, so the walk yields one
+level above it.  ``enumerate_traversals`` folds tuples;
+``enumeration_lines`` folds the output lines, which ``enumerate`` writes as
+they come, holding no order; ``verify_colex_max`` folds one integer colex
+key per order and takes their maximum in O(n) memory.  ``verify_lex_min``
+has no vertex cap; it builds each least order directly (``_least_order``),
+taking the least candidate at each position, in O((n+m) log n).
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import combinations
-from operator import itemgetter, or_
+from operator import getitem, itemgetter, or_
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -146,29 +154,44 @@ def colex_inverse_key(order: Sequence[int]) -> tuple[int, ...]:
 MAX_ENUMERATION_VERTICES = 9
 
 
-def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[Traversal]:
-    """Orders of the kind that begin at one of the starts, in lexicographic
-    order.  The graph must be connected, with at most
-    ``MAX_ENUMERATION_VERTICES`` vertices: vertex sets are bit masks.
+def _lex_walk(
+    g: OrderedGraph, kind: str, starts: Iterable[int], terms: Sequence[Sequence]
+) -> Iterator:
+    """The orders of the kind that begin at one of the starts, in
+    lexicographic order, each folded into one value: the sum of
+    ``terms[d][v]`` over the positions d of the order, v the vertex there.
+    Tuple terms ``(v,)`` give the orders themselves, text terms their output
+    lines, integer terms a number per order.  The graph must be connected,
+    with at most ``MAX_ENUMERATION_VERTICES`` vertices: vertex sets are bit
+    masks.
 
     Depth d is the position being filled.  ``unplaced[d]`` holds the
-    vertices not in ``order[:d]``, and ``rest[d]`` the candidates for
-    position d not yet tried, taken lowest bit first.  The candidates are
-    read off the prefix: for "all" the unplaced vertices with a placed
-    neighbor (``front[d]``, grown by each placed vertex's neighbors), for
-    breadth-first the unplaced neighbors of the earliest placed vertex that
-    still has one, for depth-first those of the latest such vertex, whose
-    position is ``source[d]``.  A step costs a few mask operations: nothing
-    is undone on the way back up, and no candidate list is scanned.  Every
-    prefix built this way completes, so no branch is cut and no finished
-    order is tested again."""
+    vertices not in ``order[:d]``, ``rest[d]`` the candidates for position d
+    not yet tried, taken lowest bit first, and ``acc[d]`` the fold of
+    ``order[:d]``: placing v at depth d sets ``acc[d + 1] = acc[d] +
+    terms[d][v]``.  The candidates are read off the prefix: for "all" the
+    unplaced vertices with a placed neighbor (``front[d]``, grown by each
+    placed vertex's neighbors), for breadth-first the unplaced neighbors of
+    the earliest placed vertex that still has one, for depth-first those of
+    the latest such vertex, whose position is ``source[d]``.  A step costs a
+    few mask operations and one fold: nothing is undone on the way back up,
+    and no candidate list is scanned.  Every prefix built this way
+    completes, so no branch is cut, and the last position is forced: the
+    walk yields at depth n - 2, with the one vertex left in ``unplaced``,
+    and never descends to n - 1.  A 1-vertex graph yields its start."""
     n = g.vertex_count
+    if n == 1:
+        yield from (terms[0][s] for s in starts)
+        return
     nbr = [sum(1 << w for w in nbs) for nbs in g.adjacency]
+    last, tail = n - 2, terms[n - 1]
     order = [0] * n
     unplaced = [0] * n
     rest = [0] * n
     front = [0] * n
     source = [0] * n
+    # Times 0 is the empty fold of text, tuples and integers alike.
+    acc = [terms[0][0] * 0] * n
     unplaced[0] = (1 << n) - 1
     rest[0] = sum(1 << s for s in starts)
     d = 0
@@ -180,12 +203,14 @@ def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[T
         low = c & -c
         rest[d] = c ^ low
         v = low.bit_length() - 1
-        order[d] = v
-        if d == n - 1:
-            yield tuple(order)
+        free = unplaced[d] ^ low
+        if d == last:
+            yield acc[d] + terms[d][v] + tail[free.bit_length() - 1]
             continue
+        order[d] = v
+        acc[d + 1] = acc[d] + terms[d][v]
         d += 1
-        free = unplaced[d] = unplaced[d - 1] ^ low
+        unplaced[d] = free
         if kind == "all":
             rest[d] = front[d] = (front[d - 1] | nbr[v]) & free
             continue
@@ -206,17 +231,15 @@ def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[T
         rest[d] = nbr[order[i]] & free
 
 
-def enumerate_traversals(
-    g: OrderedGraph, kind: str = "all", fixed_start: int | None = None
-) -> TraversalSet:
-    """All vertex orders of the given kind, in lexicographic order, from
-    ``fixed_start`` or from every vertex.
+def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[Traversal]:
+    """``_lex_walk`` folding each order into its tuple."""
+    singles = [(v,) for v in range(g.vertex_count)]
+    return _lex_walk(g, kind, starts, [singles] * g.vertex_count)
 
-    The orders come from one backtracking walk (``_lex_orders``) whose
-    candidates at each position are exactly the vertices that keep the
-    prefix completable to an order of the kind.  Graphs with more than
-    ``MAX_ENUMERATION_VERTICES`` vertices are refused with ``ValueError``:
-    K_n alone has n! orders."""
+
+def _enumeration_starts(g: OrderedGraph, kind: str, fixed_start: int | None) -> Sequence[int]:
+    """The starts to enumerate from, once every check on the request has
+    passed."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if g.vertex_count == 0:
@@ -227,8 +250,37 @@ def enumerate_traversals(
     if fixed_start is not None and not 0 <= fixed_start < g.vertex_count:
         raise ValueError(f"start vertex {fixed_start} out of range")
     _require_enumerable(g)
-    starts = [fixed_start] if fixed_start is not None else range(g.vertex_count)
+    return [fixed_start] if fixed_start is not None else range(g.vertex_count)
+
+
+def enumerate_traversals(
+    g: OrderedGraph, kind: str = "all", fixed_start: int | None = None
+) -> TraversalSet:
+    """All vertex orders of the given kind, in lexicographic order, from
+    ``fixed_start`` or from every vertex.
+
+    The orders come from one backtracking walk (``_lex_walk``) whose
+    candidates at each position are exactly the vertices that keep the
+    prefix completable to an order of the kind.  Graphs with more than
+    ``MAX_ENUMERATION_VERTICES`` vertices are refused with ``ValueError``:
+    K_n alone has n! orders."""
+    starts = _enumeration_starts(g, kind, fixed_start)
     return TraversalSet(kind, tuple(_lex_orders(g, kind, starts)))
+
+
+def enumeration_lines(
+    g: OrderedGraph, kind: str = "all", fixed_start: int | None = None
+) -> Iterator[str]:
+    """The orders ``enumerate_traversals`` lists, as ``enumerate`` prints
+    them: vertex numbers joined by spaces, one order per line.  The walk
+    makes each line as it places the vertices, and yields it when it is
+    done: nothing is held but the prefixes of the line being built.  Every
+    check runs before this returns, so an error comes before the first
+    line."""
+    starts = _enumeration_starts(g, kind, fixed_start)
+    n = g.vertex_count
+    inner = ["%d " % v for v in range(n)]
+    return _lex_walk(g, kind, starts, [inner] * (n - 1) + [["%d\n" % v for v in range(n)]])
 
 
 def _require_enumerable(g: OrderedGraph) -> None:
@@ -295,11 +347,24 @@ def verify_lex_min(g: OrderedGraph) -> dict[str, bool]:
 def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
     """Verdict by name: the search output's inverse is colexicographically
     greatest among inverses of traversals from vertex 0.  Walks at most
-    (n-1)! orders in O(n) memory, within ``MAX_ENUMERATION_VERTICES``."""
+    (n-1)! orders in O(n) memory, within ``MAX_ENUMERATION_VERTICES``.
+
+    The walk folds each order into the integer sum of d·n**v over its
+    positions d: the base-n number whose digit at place v is v's position.
+    Its digits from the top are ``colex_inverse_key``, so the integers
+    compare as the keys do, and one integer per order is made in place of a
+    key tuple."""
     tau = deterministic_search(g, 0).visit_order
     _require_enumerable(g)
-    best = max(_lex_orders(g, "all", (0,)), key=colex_inverse_key)
-    return {"colex-max-inverse": tau == best}
+    terms = _colex_terms(g.vertex_count)
+    best = max(_lex_walk(g, "all", (0,), terms))
+    return {"colex-max-inverse": best == sum(map(getitem, terms, tau))}
+
+
+def _colex_terms(n: int) -> list[list[int]]:
+    """``_lex_walk`` terms that fold an order into its colex key as one
+    integer: d·n**v for vertex v at position d."""
+    return [[d * n**v for v in range(n)] for d in range(n)]
 
 
 def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], tuple[int, ...]]:

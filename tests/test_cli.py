@@ -238,6 +238,31 @@ class TestEnumerate:
         assert code == 0
         assert "0 1 5 2 3 4" in out.splitlines()
 
+    @pytest.mark.parametrize("kind", ["all", "bfs", "dfs"])
+    @pytest.mark.parametrize("start", [[], ["--start", "0"]], ids=["no-start", "start-0"])
+    def test_one_vertex(self, capsys, tmp_path, kind, start):
+        # The only position is the forced last one.
+        path = tmp_path / "one"
+        path.write_text("n 1\n")
+        assert run(capsys, "enumerate", str(path), "--kind", kind, *start) == (0, "0\n", "")
+
+    @pytest.mark.parametrize(
+        "text, start, error",
+        [
+            ("n 3\ne 0 1\n", [], "vertex 2 is unreachable from 0"),
+            (SIX, ["--start", "6"], "start vertex 6 out of range"),
+            ("n 10\n" + "".join(f"e {i} {i + 1}\n" for i in range(9)), [],
+             "enumeration is limited to 9 vertices; the graph has 10"),
+            ("n 0\n", [], "no traversals of the empty graph"),
+        ],
+        ids=["disconnected", "start-out-of-range", "ten-vertices", "empty"],
+    )
+    def test_errors_come_before_any_output(self, capsys, tmp_path, text, start, error):
+        # The lines are made lazily, so every check has to run first.
+        path = tmp_path / "g"
+        path.write_text(text)
+        assert run(capsys, "enumerate", str(path), "--kind", "all", *start) == (2, "", f"error: {error}\n")
+
 
 def complete_graph_text(n):
     return f"n {n}\n" + "".join(f"e {i} {j}\n" for i in range(n) for j in range(i + 1, n))
@@ -330,6 +355,22 @@ def test_enumerate_streams_its_output(monkeypatch):
     orders = predicates.enumerate_traversals(g, "all").orders
     expected = "".join(" ".join(map(str, o)) + "\n" for o in orders).encode()
     assert (sink.digest.hexdigest(), sink.size) == (hashlib.sha256(expected).hexdigest(), len(expected))
+
+
+def test_enumerate_holds_no_orders(monkeypatch):
+    # Each line is made by the walk as it is written.  Holding K_8's 40,320
+    # orders as tuples would take about 5 MB.
+    monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph_text(8)))
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["enumerate", "-", "--kind", "all"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, 40_320 * 16)
+    assert peak < 2**20
 
 
 class TestVerify:

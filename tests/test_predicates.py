@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from ordsearch.predicates import (
     closure_samples,
     colex_inverse_key,
     enumerate_traversals,
+    enumeration_lines,
     is_breadth_first,
     is_depth_first,
     is_traversal,
@@ -350,6 +352,86 @@ class TestExtremality:
                     assert predicates._least_order(g, kind) == next(
                         predicates._lex_orders(g, kind, (0,))
                     )
+
+
+def formatted(orders, n):
+    return "".join(("%d " * (n - 1) + "%d\n") % o for o in orders)
+
+
+class TestFoldedWalk:
+    # One walk folds each order into a tuple, an output line or an integer
+    # colex key, and yields at depth n - 2 with the last vertex forced.
+
+    def test_lines_match_the_formatted_orders_exhaustively(self):
+        # Every kind, with no start and with every start, on every connected
+        # graph up to five vertices.  At six vertices every graph is walked
+        # once, kind and start taking their turns over the 26,704 graphs:
+        # every pair on all of them would take about 25 s.
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                for kind in predicates.KINDS:
+                    for start in (None, *range(n)):
+                        expected = formatted(enumerate_traversals(g, kind, start).orders, n)
+                        assert "".join(enumeration_lines(g, kind, start)) == expected
+        turns = [(kind, start) for kind in predicates.KINDS for start in (None, *range(6))]
+        for i, g in enumerate(all_connected_graphs(6)):
+            kind, start = turns[i % len(turns)]
+            expected = formatted(enumerate_traversals(g, kind, start).orders, 6)
+            assert "".join(enumeration_lines(g, kind, start)) == expected
+
+    def test_one_vertex_yields_its_start(self):
+        g = OrderedGraph(1)
+        for kind in predicates.KINDS:
+            for start in (None, 0):
+                assert enumerate_traversals(g, kind, start).orders == ((0,),)
+                assert list(enumeration_lines(g, kind, start)) == ["0\n"]
+        assert verify_colex_max(g) == {"colex-max-inverse": True}
+
+    @pytest.mark.parametrize(
+        "g, kind, start, error",
+        [
+            (OrderedGraph(2), "all", None, DisconnectedGraphError),
+            (path_graph(3), "all", 3, ValueError),
+            (path_graph(10), "all", None, ValueError),
+            (OrderedGraph(0), "all", None, ValueError),
+            (path_graph(2), "widest_first", None, ValueError),
+        ],
+        ids=["disconnected", "start-out-of-range", "ten-vertices", "empty", "unknown-kind"],
+    )
+    def test_lines_are_checked_before_the_walk_starts(self, g, kind, start, error):
+        # Raised by the call itself, before any line is asked for.
+        with pytest.raises(error):
+            enumeration_lines(g, kind, start)
+
+    def test_colex_verdict_matches_the_tuple_key_exhaustively(self):
+        # The old per-order key tuple judges the integer fold: the verdict
+        # on every connected graph up to six vertices, and the integer of
+        # every order from 0 up to five, read off the key's digits.
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                orders = list(predicates._lex_orders(g, "all", (0,)))
+                tau = deterministic_search(g, 0).visit_order
+                best = max(orders, key=colex_inverse_key)
+                assert verify_colex_max(g) == {"colex-max-inverse": tau == best}
+                if n < 6:
+                    keys = list(predicates._lex_walk(g, "all", (0,), predicates._colex_terms(n)))
+                    assert keys == [
+                        functools.reduce(lambda a, p: a * n + p, colex_inverse_key(o), 0)
+                        for o in orders
+                    ]
+
+    def test_colex_verdict_compares_the_searched_order(self, monkeypatch):
+        # The search output is the colex maximum, so on real runs the
+        # verdict is always PASS; hand it every traversal from 0 instead.
+        for n in range(1, 5):
+            for g in all_connected_graphs(n):
+                orders = list(predicates._lex_orders(g, "all", (0,)))
+                best = max(orders, key=colex_inverse_key)
+                for order in orders:
+                    monkeypatch.setattr(
+                        predicates, "deterministic_search", lambda g, start: SearchTrace(order, g)
+                    )
+                    assert verify_colex_max(g) == {"colex-max-inverse": order == best}
 
 
 def drawn_seed_sets(n, seed, draws):
