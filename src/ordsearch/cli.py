@@ -5,7 +5,10 @@ reports FAIL, 2 on usage, syntax or input errors, 3 on an internal error (an
 unexpected exception, reported as one ``internal error: <Type>: <message>``
 line on stderr, without a traceback).  Graphs are read from a file argument,
 `-` meaning standard input.  All output is deterministic for identical
-arguments.
+arguments.  Output that grows with the input (an enumeration, a trace, a
+tree, a random graph) comes from a line iterator, written with
+``sys.stdout.writelines`` as each line is made; those commands raise every
+input error before their first line.
 
 The argument parser is built on the first call of ``main`` and reused; it
 holds only this module's handlers, which look up library functions by name
@@ -96,8 +99,7 @@ def _cmd_search(args) -> int:
     trace = kernel(g, args.start)
     print(_fmt(trace.visit_order))
     if args.trace:
-        for line in trace.stage_lines():
-            print(line)
+        sys.stdout.writelines(trace.stage_lines())
     return 0
 
 
@@ -118,10 +120,7 @@ def _cmd_tree(args) -> int:
     else:
         order = deterministic_search(g, args.start).visit_order
     tree = traversal_tree(g, order)
-    if args.dot:
-        print(dot_export(tree, traversal=order), end="")
-    else:
-        print(serialize(tree), end="")
+    sys.stdout.writelines(dot_export(tree, traversal=order) if args.dot else serialize(tree))
     return 0
 
 
@@ -234,8 +233,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    g = random_connected_graph(args.n, args.density, args.seed)
-    print(serialize(g), end="")
+    sys.stdout.writelines(serialize(random_connected_graph(args.n, args.density, args.seed)))
     return 0
 
 

@@ -8,7 +8,10 @@ so structural equality is plain equality.
 
 The text format is line based: ``n <count>`` first, then ``e <u> <v>`` lines,
 ``#`` starts a comment, blank lines are ignored.  DOT export is one way and
-can annotate vertices with their position in a traversal.
+can annotate vertices with their position in a traversal.  Both writers,
+``serialize`` and ``dot_export``, yield their text as ``"\n"``-terminated
+lines, made as they are asked for, so writing a graph holds no copy of its
+text.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 Traversal = tuple[int, ...]
@@ -276,10 +279,10 @@ def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def serialize(g: OrderedGraph) -> str:
-    lines = [f"n {g.vertex_count}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+def serialize(g: OrderedGraph) -> Iterator[str]:
+    """The graph's text in the line format, one line at a time."""
+    yield f"n {g.vertex_count}\n"
+    yield from map("e %d %d\n".__mod__, g.edges)
 
 
 def deserialize(text: str) -> OrderedGraph:
@@ -343,19 +346,16 @@ def deserialize(text: str) -> OrderedGraph:
     return OrderedGraph._canonical(vertex_count, tuple(map(divmod, keys, repeat(vertex_count))))
 
 
-def dot_export(g: OrderedGraph, traversal: Sequence[int] | None = None) -> str:
-    """DOT text; with a traversal, each vertex label carries its position."""
-    if traversal is not None and not is_permutation(traversal, g.vertex_count):
-        raise ValueError("traversal must be a permutation of the vertices")
-    lines = ["graph ordered {"]
-    if traversal is not None:
-        positions = invert_permutation(traversal)
-        for v in range(g.vertex_count):
-            lines.append(f'  {v} [label="{v} (pos {positions[v]})"];')
+def dot_export(g: OrderedGraph, traversal: Sequence[int] | None = None) -> Iterator[str]:
+    """DOT text, one line at a time; with a traversal, each vertex label
+    carries its position.  A traversal that is not a permutation raises
+    ``ValueError`` here, before any line is made."""
+    if traversal is None:
+        vertices = map("  %d;\n".__mod__, range(g.vertex_count))
+    elif is_permutation(traversal, g.vertex_count):
+        vertices = (
+            f'  {v} [label="{v} (pos {p})"];\n' for v, p in enumerate(invert_permutation(traversal))
+        )
     else:
-        for v in range(g.vertex_count):
-            lines.append(f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        raise ValueError("traversal must be a permutation of the vertices")
+    return chain(("graph ordered {\n",), vertices, map("  %d -- %d;\n".__mod__, g.edges), ("}\n",))

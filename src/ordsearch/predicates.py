@@ -144,13 +144,6 @@ def is_depth_first(g: OrderedGraph, order: Sequence[int]) -> bool:
     return depth_first
 
 
-def colex_inverse_key(order: Sequence[int]) -> tuple[int, ...]:
-    """Positions of the greatest vertex down to the least; comparing these
-    keys compares inverse permutations colexicographically."""
-    positions = invert_permutation(order)
-    return tuple(reversed(positions))
-
-
 MAX_ENUMERATION_VERTICES = 9
 
 
@@ -351,8 +344,9 @@ def verify_colex_max(g: OrderedGraph) -> dict[str, bool]:
 
     The walk folds each order into the integer sum of d·n**v over its
     positions d: the base-n number whose digit at place v is v's position.
-    Its digits from the top are ``colex_inverse_key``, so the integers
-    compare as the keys do, and one integer per order is made in place of a
+    Its digits from the top are the positions of the greatest vertex down
+    to the least, so comparing the integers compares the inverse
+    permutations colexicographically, with one integer per order and no
     key tuple."""
     tau = deterministic_search(g, 0).visit_order
     _require_enumerable(g)

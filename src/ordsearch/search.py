@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -71,14 +71,16 @@ class SearchTrace(Run):
     """Deterministic search run.  Stage i picks visit_order[i]; the stage-0
     frontier is the start vertex alone.
 
-    Each call of ``stage_lines()`` replays the order.  The replay keeps the
+    Each call of ``stage_lines()`` replays the order, yielding each stage's
+    ``"\n"``-terminated line as the replay reaches it.  The replay keeps the
     sorted frontier's text in one byte buffer, so a trace line is a copy of
     that buffer rather than a join over the frontier's names.  The trace
-    costs its own bytes, plus O(log n) bisects and one move of the buffer's
-    tail per discovered vertex: O(max degree * output) in the worst case.
+    holds O(n) besides the line being written, and costs its own bytes, plus
+    O(log n) bisects and one move of the buffer's tail per discovered
+    vertex: O(max degree * output) in the worst case.
     """
 
-    def stage_lines(self) -> list[str]:
+    def stage_lines(self) -> Iterator[str]:
         adjacency = self.graph.adjacency
         seen = bytearray(self.graph.vertex_count)
         start = self.visit_order[0]
@@ -87,9 +89,8 @@ class SearchTrace(Run):
         # The pick is the least frontier vertex, so its name comes first.
         frontier = [start]
         text = bytearray(b"%d " % start)
-        lines = []
         for i, v in enumerate(self.visit_order):
-            lines.append(f"stage {i}: pick {v} from {{{text[:-1].decode()}}}")
+            yield f"stage {i}: pick {v} from {{{text[:-1].decode()}}}\n"
             del frontier[0]
             del text[: len(str(v)) + 1]
             for w in adjacency[v]:
@@ -108,7 +109,6 @@ class SearchTrace(Run):
                         power *= 10
                     frontier.insert(j, w)
                     text[offset:offset] = b"%d " % w
-        return lines
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,14 @@ class BfsTrace(Run):
     stage's queue is a prefix of the final one, the visit order; its length
     comes from the least-neighbor map.
 
-    ``stage_lines()`` prints the sum of the queue lengths in entries, which
-    is quadratic in n in the worst case (a star).  It names the vertices and
-    joins them once, and slices each stage's queue from that one string, so
-    the trace costs about one copy of its text.
+    ``stage_lines()`` yields ``"\n"``-terminated lines that hold the sum of
+    the queue lengths in entries, which is quadratic in n in the worst case
+    (a star).  It names the vertices and joins them once, and slices each
+    line's queue from that one string as the line is asked for, so the
+    trace holds O(n) besides the line being written.
     """
 
-    def stage_lines(self) -> list[str]:
+    def stage_lines(self) -> Iterator[str]:
         # A BFS enqueues w while processing w's order-least neighbor, so the
         # queue before stage alpha holds the root and every vertex whose
         # least neighbor sits before alpha.
@@ -137,10 +138,10 @@ class BfsTrace(Run):
         # ends[k] is the offset just past the separator after the k-th name,
         # so the first k names, space separated, are joined[:ends[k] - 1].
         ends = list(accumulate((len(name) + 1 for name in names), initial=0))
-        return [
-            f"stage {alpha}: B={alpha} Q=({joined[:ends[qlen] - 1]}) q={name}"
+        return (
+            f"stage {alpha}: B={alpha} Q=({joined[:ends[qlen] - 1]}) q={name}\n"
             for alpha, (name, qlen) in enumerate(zip(names, accumulate(enqueued, initial=1)))
-        ]
+        )
 
 
 def _check_start(g: OrderedGraph, start: int) -> None:

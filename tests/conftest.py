@@ -1,8 +1,34 @@
+import hashlib
+import io
 import itertools
 
 import pytest
 
 from ordsearch.graph import OrderedGraph, is_connected
+
+
+class DigestSink(io.TextIOBase):
+    """A text stream that keeps only a running hash and a byte count of
+    what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        data = text.encode()
+        self.digest.update(data)
+        self.size += len(data)
+        return len(text)
+
+
+def text_digest(lines):
+    """(sha256 hex digest, byte count) of the text made of the given lines."""
+    data = "".join(lines).encode()
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
 def path_graph(n: int) -> OrderedGraph:

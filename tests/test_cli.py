@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispatch_corpus
+from conftest import DigestSink, text_digest
 from ordsearch import acceptance, cli, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
@@ -312,24 +313,6 @@ def test_lexmin_takes_linearithmic_time(capsys, tmp_path):
     assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
 
 
-class _DigestSink(io.TextIOBase):
-    """A text stream that keeps only a running hash and a byte count of
-    what is written to it."""
-
-    def __init__(self):
-        self.digest = hashlib.sha256()
-        self.size = 0
-
-    def writable(self):
-        return True
-
-    def write(self, text):
-        data = text.encode()
-        self.digest.update(data)
-        self.size += len(data)
-        return len(text)
-
-
 def test_enumerate_streams_its_output(monkeypatch):
     # Writing the output adds under 1 MB to the walk's own peak; joining
     # the 40,320 lines first would add about 3 MB.
@@ -342,7 +325,7 @@ def test_enumerate_streams_its_output(monkeypatch):
     finally:
         tracemalloc.stop()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    sink = _DigestSink()
+    sink = DigestSink()
     tracemalloc.start()
     try:
         with redirect_stdout(sink):
@@ -361,7 +344,7 @@ def test_enumerate_holds_no_orders(monkeypatch):
     # Each line is made by the walk as it is written.  Holding K_8's 40,320
     # orders as tuples would take about 5 MB.
     monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph_text(8)))
-    sink = _DigestSink()
+    sink = DigestSink()
     tracemalloc.start()
     try:
         with redirect_stdout(sink):
@@ -371,6 +354,67 @@ def test_enumerate_holds_no_orders(monkeypatch):
         tracemalloc.stop()
     assert (code, sink.size) == (0, 40_320 * 16)
     assert peak < 2**20
+
+
+def star_trace_lines(command, n):
+    """The stdout of ``<command> - --trace`` on the star with center 0 and
+    n - 1 leaves, in closed form: every leaf joins the frontier and the
+    queue at stage 0, and stage a >= 1 picks leaf a."""
+    names = list(map(str, range(n)))
+    yield " ".join(names) + "\n"
+    if command == "search":
+        yield "stage 0: pick 0 from {0}\n"
+        for a in range(1, n):
+            yield f"stage {a}: pick {a} from {{{' '.join(names[a:])}}}\n"
+    else:
+        yield "stage 0: B=0 Q=(0) q=0\n"
+        for a in range(1, n):
+            yield f"stage {a}: B={a} Q=({' '.join(names)}) q={a}\n"
+
+
+@pytest.mark.parametrize("command, bound", [("search", 2**20), ("bfs", 2 * 2**20)])
+def test_trace_holds_no_lines(monkeypatch, command, bound):
+    # Each stage's line is made as it is written.  Holding the 2,000 lines
+    # took 9.3 MB for search and 17.9 MB for bfs.
+    n = 2_000
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"n {n}\n" + "".join(f"e 0 {i}\n" for i in range(1, n))))
+    sink = DigestSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main([command, "-", "--trace"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.digest.hexdigest(), sink.size) == text_digest(star_trace_lines(command, n))
+    assert peak < bound
+
+
+class TestErrorsBeforeOutput:
+    """A command that writes its output line by line still raises every error
+    before the first line.  ``random`` above its envelope is covered by
+    ``TestRandom.test_envelope_is_input_error``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "--trace"], ["bfs", "--trace"], ["tree", "--traversal"], ["tree", "--bfs", "--dot"]],
+        ids=["search-trace", "bfs-trace", "tree", "tree-bfs-dot"],
+    )
+    @pytest.mark.parametrize(
+        "text, start, error",
+        [
+            (SIX, "6", "start vertex 6 out of range"),
+            (SIX, "-1", "start vertex -1 out of range"),
+            ("n 3\ne 0 1\n", "0", "vertex 2 is unreachable from 0"),
+        ],
+        ids=["start-6", "start-minus-1", "disconnected"],
+    )
+    def test_bad_start(self, capsys, tmp_path, argv, text, start, error):
+        path = tmp_path / "g"
+        path.write_text(text)
+        command, *options = argv
+        assert run(capsys, command, str(path), "--start", start, *options) == (2, "", f"error: {error}\n")
 
 
 class TestVerify:
@@ -511,7 +555,7 @@ class TestRandom:
         assert first == second
         g = deserialize(first)
         assert g.vertex_count == 9
-        assert serialize(g) == first
+        assert "".join(serialize(g)) == first
 
     @pytest.mark.parametrize(
         "n, density, message",

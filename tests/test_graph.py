@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import DigestSink, complete_graph, cycle_graph, path_graph, text_digest
 from ordsearch.graph import (
     MAX_RANDOM_EDGES,
     MAX_VERTICES,
@@ -330,10 +331,10 @@ class TestSerialization:
         rng = random.Random(13)
         for _ in range(25):
             g = random_connected_graph(rng.randint(1, 15), 0.4, rng.randint(0, 999))
-            assert deserialize(serialize(g)) == g
+            assert deserialize("".join(serialize(g))) == g
 
     def test_serialize_sorted(self, six_cycle_tail):
-        assert serialize(six_cycle_tail) == "n 6\ne 0 1\ne 0 5\ne 1 2\ne 2 4\ne 3 5\ne 4 5\n"
+        assert "".join(serialize(six_cycle_tail)) == "n 6\ne 0 1\ne 0 5\ne 1 2\ne 2 4\ne 3 5\ne 4 5\n"
 
     @pytest.mark.parametrize(
         "text, lineno",
@@ -380,14 +381,67 @@ class TestSerialization:
 
 class TestDotExport:
     def test_single_vertex(self):
-        assert dot_export(OrderedGraph(1)) == "graph ordered {\n  0;\n}\n"
+        assert "".join(dot_export(OrderedGraph(1))) == "graph ordered {\n  0;\n}\n"
 
     def test_traversal_positions(self):
-        text = dot_export(path_graph(2), traversal=(1, 0))
+        text = "".join(dot_export(path_graph(2), traversal=(1, 0)))
         assert '0 [label="0 (pos 1)"]' in text
         assert '1 [label="1 (pos 0)"]' in text
         assert "0 -- 1;" in text
 
     def test_rejects_bad_traversal(self):
-        with pytest.raises(ValueError):
-            dot_export(path_graph(2), traversal=(0, 0))
+        # The check runs when dot_export is called, not when the first line
+        # is asked for, so a caller writes nothing for a bad order.
+        for traversal in [(0, 0), (0,), (0, 1, 2), (1, 2)]:
+            with pytest.raises(ValueError, match="traversal must be a permutation"):
+                dot_export(path_graph(2), traversal=traversal)
+
+
+class TestWritersStream:
+    """``serialize`` and ``dot_export`` make each line as it is written.  The
+    graph joins each of 10,000 vertices to the next 10, so it has 99,945
+    edges and its text is 1.2 to 1.9 MB; it is built before the
+    measurement, which covers the writer's call and the writing."""
+
+    N, WIDTH = 10_000, 10
+
+    def edges(self):
+        return ((u, v) for u in range(self.N) for v in range(u + 1, min(u + self.WIDTH + 1, self.N)))
+
+    @pytest.fixture(scope="class")
+    def band(self):
+        return OrderedGraph(self.N, tuple(self.edges()))
+
+    def written(self, make):
+        sink = DigestSink()
+        tracemalloc.start()
+        try:
+            sink.writelines(make())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (sink.digest.hexdigest(), sink.size), peak
+
+    def test_serialize(self, band):
+        written, peak = self.written(lambda: serialize(band))
+        expected = [f"n {self.N}\n"] + [f"e {u} {v}\n" for u, v in self.edges()]
+        assert written == text_digest(expected)
+        assert written[1] > 1_000_000
+        assert peak < 2**18
+
+    def test_dot_export(self, band):
+        written, peak = self.written(lambda: dot_export(band))
+        expected = ["graph ordered {\n"] + [f"  {v};\n" for v in range(self.N)]
+        expected += [f"  {u} -- {v};\n" for u, v in self.edges()] + ["}\n"]
+        assert written == text_digest(expected)
+        assert peak < 2**18
+
+    def test_dot_export_with_a_traversal(self, band):
+        # The traversal's check and its inverse are O(n), about 0.5 MB here.
+        order = tuple(reversed(range(self.N)))
+        written, peak = self.written(lambda: dot_export(band, traversal=order))
+        expected = ["graph ordered {\n"]
+        expected += [f'  {v} [label="{v} (pos {self.N - 1 - v})"];\n' for v in range(self.N)]
+        expected += [f"  {u} -- {v};\n" for u, v in self.edges()] + ["}\n"]
+        assert written == text_digest(expected)
+        assert peak < 2**20

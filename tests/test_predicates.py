@@ -23,7 +23,6 @@ from ordsearch.graph import (
 )
 from ordsearch.predicates import (
     closure_samples,
-    colex_inverse_key,
     enumerate_traversals,
     enumeration_lines,
     is_breadth_first,
@@ -46,6 +45,17 @@ from ordsearch.search import (
     traversal_tree,
 )
 from ordsearch.witness import build_bfs_tree_witness
+
+
+def colex_inverse_key(order):
+    """Positions of the greatest vertex down to the least; comparing these
+    keys compares inverse permutations colexicographically.  The test-side
+    judge of ``verify_colex_max``, which folds the same key into one integer
+    per order."""
+    positions = [0] * len(order)
+    for i, v in enumerate(order):
+        positions[v] = i
+    return tuple(reversed(positions))
 
 
 def permutation_filter(g, predicate, fixed_start=None):

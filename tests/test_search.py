@@ -92,6 +92,17 @@ def brute_force_bfs_lines(g, start):
     return lines
 
 
+def joined(lines):
+    """The text of a list of lines, each ended by a newline."""
+    return "\n".join(lines) + "\n"
+
+
+def split_lines(text):
+    """The lines of a text that ends with a newline, without their newlines."""
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
 def random_graphs_with_long_names(seed, count):
     """Random connected graphs on 11 to 200 vertices, so vertex names have
     two or three digits, sparse and dense alike; each with a random start."""
@@ -106,10 +117,12 @@ def assert_matches_brute_force(g, start):
     order, frontiers = brute_force_stage_simulation(g, start)
     trace = deterministic_search(g, start)
     assert trace.visit_order == order
-    assert trace.stage_lines() == [
-        f"stage {i}: pick {v} from {{{' '.join(map(str, f))}}}"
-        for i, (v, f) in enumerate(zip(order, frontiers))
-    ]
+    assert "".join(trace.stage_lines()) == joined(
+        [
+            f"stage {i}: pick {v} from {{{' '.join(map(str, f))}}}"
+            for i, (v, f) in enumerate(zip(order, frontiers))
+        ]
+    )
 
 
 class TestDeterministicSearch:
@@ -158,7 +171,7 @@ class TestDeterministicSearch:
 
     def test_trace_records_choice_per_stage(self, six_cycle_tail):
         trace = deterministic_search(six_cycle_tail)
-        lines = trace.stage_lines()
+        lines = split_lines("".join(trace.stage_lines()))
         assert len(lines) == 6
         frontiers = []
         for i, line in enumerate(lines):
@@ -179,14 +192,13 @@ class TestDeterministicSearch:
         edges = [(v, v + 1) for v in range(n - 1)] + [(v, v + 9_995) for v in range(50)]
         g = OrderedGraph(n, tuple(edges))
         for start in (0, 999, 9_999, n - 1):
-            assert deterministic_search(g, start).stage_lines() == replay_search_lines(g, start)
+            assert "".join(deterministic_search(g, start).stage_lines()) == joined(
+                replay_search_lines(g, start)
+            )
 
     def test_stage_lines(self):
         trace = deterministic_search(path_graph(2))
-        assert trace.stage_lines() == [
-            "stage 0: pick 0 from {0}",
-            "stage 1: pick 1 from {1}",
-        ]
+        assert "".join(trace.stage_lines()) == "stage 0: pick 0 from {0}\nstage 1: pick 1 from {1}\n"
 
     def test_disconnected_reports_vertex(self):
         g = OrderedGraph(3, ((0, 1),))
@@ -221,7 +233,7 @@ class TestBfsSearch:
         for _ in range(40):
             g = random_connected_graph(rng.randint(1, 15), 0.3, rng.randint(0, 9999))
             trace = bfs_search(g)
-            lines = trace.stage_lines()
+            lines = split_lines("".join(trace.stage_lines()))
             assert len(lines) == g.vertex_count
             queues = []
             for alpha, line in enumerate(lines):
@@ -238,22 +250,23 @@ class TestBfsSearch:
             assert queues[-1] == trace.visit_order
 
     def test_stage_lines(self, six_cycle_tail):
-        lines = bfs_search(six_cycle_tail).stage_lines()
-        assert lines[0] == "stage 0: B=0 Q=(0) q=0"
-        assert lines[1] == "stage 1: B=1 Q=(0 1 5) q=1"
+        text = "".join(bfs_search(six_cycle_tail).stage_lines())
+        assert text.startswith("stage 0: B=0 Q=(0) q=0\nstage 1: B=1 Q=(0 1 5) q=1\n")
 
     def test_stage_lines_match_brute_force_on_all_small_graphs(self):
         checked = 0
         for n in range(1, 6):
             for g in all_connected_graphs(n):
                 for start in range(n):
-                    assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
+                    assert "".join(bfs_search(g, start).stage_lines()) == joined(
+                        brute_force_bfs_lines(g, start)
+                    )
                     checked += 1
         assert checked == 3807
 
     def test_stage_lines_match_brute_force_on_random_graphs(self):
         for g, start in random_graphs_with_long_names(24, 30):
-            assert bfs_search(g, start).stage_lines() == brute_force_bfs_lines(g, start)
+            assert "".join(bfs_search(g, start).stage_lines()) == joined(brute_force_bfs_lines(g, start))
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
