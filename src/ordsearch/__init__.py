@@ -20,6 +20,7 @@ from .graph import (
 from .ordinal import Ordinal, OrdinalParseError, cofinality, fundamental_sequence, omega_power, omega_quot_rem, zeta
 from .predicates import (
     TraversalSet,
+    block_verdicts,
     closure_samples,
     enumerate_traversals,
     is_breadth_first,
@@ -42,7 +43,6 @@ from .search import (
 )
 from .witness import (
     WitnessBuild,
-    WitnessVerdict,
     build_bfs_tree_witness,
     build_zeta_witness,
     format_manifest,

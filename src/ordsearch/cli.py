@@ -71,26 +71,16 @@ def _fmt(order) -> str:
     return " ".join(map(str, order))
 
 
-class _Verdicts:
-    """Collects PASS/FAIL lines; any FAIL turns the exit code into 1."""
-
-    def __init__(self):
-        self.failed = False
-
-    def emit(self, name: str, ok: bool, note: str = "") -> None:
+def _report(verdicts: dict[str, bool], notes: dict[str, str] | None = None) -> int:
+    """Print one ``name: PASS|FAIL [note]`` line per verdict, in order; 1 if
+    any verdict failed, else 0."""
+    notes = notes or {}
+    for name, ok in verdicts.items():
         line = f"{name}: {'PASS' if ok else 'FAIL'}"
-        if note:
-            line += f" [{note}]"
+        if name in notes:
+            line += f" [{notes[name]}]"
         print(line)
-        if not ok:
-            self.failed = True
-
-    def emit_all(self, verdicts: dict[str, bool]) -> None:
-        for name, ok in verdicts.items():
-            self.emit(name, ok)
-
-    def exit_code(self) -> int:
-        return 1 if self.failed else 0
+    return 0 if all(verdicts.values()) else 1
 
 
 def _cmd_search(args) -> int:
@@ -126,19 +116,18 @@ def _cmd_tree(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.graph)
-    order = tuple(args.order)
-    verdicts = _Verdicts()
-    if args.kind == "traversal":
-        verdicts.emit("traversal", is_traversal(g, order))
-    else:
-        name = {"bfs": "breadth-first", "dfs": "depth-first"}[args.kind]
-        test = is_breadth_first if args.kind == "bfs" else is_depth_first
-        # The test rejects a non-traversal in its own pass.
-        try:
-            verdicts.emit(name, test(g, order))
-        except NotATraversalError:
-            verdicts.emit(name, False, "not a traversal")
-    return verdicts.exit_code()
+    name, test = {
+        "traversal": ("traversal", is_traversal),
+        "bfs": ("breadth-first", is_breadth_first),
+        "dfs": ("depth-first", is_depth_first),
+    }[args.kind]
+    # The breadth-first and depth-first tests reject a non-traversal in
+    # their own pass.
+    try:
+        ok, notes = test(g, tuple(args.order)), None
+    except NotATraversalError:
+        ok, notes = False, {name: "not a traversal"}
+    return _report({name: ok}, notes)
 
 
 def _cmd_enumerate(args) -> int:
@@ -160,70 +149,61 @@ def _cmd_verify(args) -> int:
     if args.probes < 0:
         raise ValueError("--probes must be >= 0")
     g = _read_graph(args.graph)
-    verdicts = _Verdicts()
     if args.suite == "lexmin":
-        verdicts.emit_all(verify_lex_min(g))
-    elif args.suite == "colexmax":
-        verdicts.emit_all(verify_colex_max(g))
-    elif args.suite == "stability":
+        return _report(verify_lex_min(g))
+    if args.suite == "colexmax":
+        return _report(verify_colex_max(g))
+    if args.suite == "stability":
         run = deterministic_search(g)
         sets = closure_samples(run, args.seed, 12)
-        verdicts.emit(
-            "subset-stability",
-            all(verify_subset_stability(run, w) for w in sets),
-            f"{len(sets)} closed sets",
-        )
         singletons = [{v} for v in range(g.vertex_count)]
-        verdicts.emit("quotient-stability-singletons", verify_quotient_stability(run, singletons))
         whole = [set(range(g.vertex_count))]
-        verdicts.emit("quotient-stability-whole", verify_quotient_stability(run, whole))
-    else:
-        identity = tuple(range(g.vertex_count))
-        tau = deterministic_search(g).visit_order
-        beta = bfs_search(g).visit_order
-        relabeled = relabel(g, tau)
-        if is_traversal(g, identity):
-            verdicts.emit("search-fixes-traversals", tau == identity)
-        else:
-            verdicts.emit("search-fixes-traversals", True, "vacuous: input order is not a traversal")
-        verdicts.emit("idempotent", deterministic_search(relabeled).visit_order == identity)
-        verdicts.emit(
-            "bfs-fixed-by-search",
-            deterministic_search(relabel(g, beta)).visit_order == identity,
+        return _report(
+            {
+                "subset-stability": all(verify_subset_stability(run, w) for w in sets),
+                "quotient-stability-singletons": verify_quotient_stability(run, singletons),
+                "quotient-stability-whole": verify_quotient_stability(run, whole),
+            },
+            {"subset-stability": f"{len(sets)} closed sets"},
         )
-        verdicts.emit(
-            "search-tree-retraversal",
-            deterministic_search(traversal_tree(g, tau)).visit_order == tau,
+    identity = tuple(range(g.vertex_count))
+    tau = deterministic_search(g).visit_order
+    beta = bfs_search(g).visit_order
+    relabeled = relabel(g, tau)
+    vacuous = not is_traversal(g, identity)
+    code = _report(
+        {
+            "search-fixes-traversals": vacuous or tau == identity,
+            "idempotent": deterministic_search(relabeled).visit_order == identity,
+            "bfs-fixed-by-search": deterministic_search(relabel(g, beta)).visit_order == identity,
+            "search-tree-retraversal": deterministic_search(traversal_tree(g, tau)).visit_order == tau,
+            "bfs-tree-retraversal": bfs_search(traversal_tree(g, beta)).visit_order == beta,
+        },
+        {"search-fixes-traversals": "vacuous: input order is not a traversal"} if vacuous else None,
+    )
+    after = _bfs_after_search(tau, relabeled)
+    print(f"note: bfs-after-search equals bfs on this input: {'yes' if after == beta else 'no'}")
+    if args.probes:
+        rng = random.Random(args.seed)
+        differed = 0
+        for _ in range(args.probes):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            tau_h = deterministic_search(h).visit_order
+            if _bfs_after_search(tau_h, relabel(h, tau_h)) != bfs_search(h).visit_order:
+                differed += 1
+        print(
+            f"note: bfs-after-search differed from bfs on {differed} of "
+            f"{args.probes} probed orders"
         )
-        verdicts.emit(
-            "bfs-tree-retraversal", bfs_search(traversal_tree(g, beta)).visit_order == beta
-        )
-        after = _bfs_after_search(tau, relabeled)
-        print(f"note: bfs-after-search equals bfs on this input: {'yes' if after == beta else 'no'}")
-        if args.probes:
-            rng = random.Random(args.seed)
-            differed = 0
-            for _ in range(args.probes):
-                perm = list(range(g.vertex_count))
-                rng.shuffle(perm)
-                h = relabel(g, perm)
-                tau_h = deterministic_search(h).visit_order
-                if _bfs_after_search(tau_h, relabel(h, tau_h)) != bfs_search(h).visit_order:
-                    differed += 1
-            print(
-                f"note: bfs-after-search differed from bfs on {differed} of "
-                f"{args.probes} probed orders"
-            )
-    return verdicts.exit_code()
+    return code
 
 
 def _cmd_witness(args) -> int:
     build = build_zeta_witness(args.m, args.n, args.k)
     print(format_manifest(build), end="")
-    verdicts = _Verdicts()
-    if args.verify:
-        verdicts.emit_all(verify_witness(build).by_name())
-    return verdicts.exit_code()
+    return _report(verify_witness(build)) if args.verify else 0
 
 
 def _cmd_zeta(args) -> int:

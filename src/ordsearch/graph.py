@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 Traversal = tuple[int, ...]
@@ -108,12 +109,16 @@ class OrderedGraph:
 
         The edges are sorted by (min, max), so v's smaller neighbors arrive
         first, in ascending order, then its larger ones: no list needs a
-        sort, and the index costs O(n + m)."""
-        lists: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        sort, and the index costs O(n + m).  Each list is replaced by its
+        tuple as that is made, so the lists and the tuples are never all
+        held at once."""
+        lists: list = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             lists[u].append(v)
             lists[v].append(u)
-        return tuple(map(tuple, lists))
+        for v, nbs in enumerate(lists):
+            lists[v] = tuple(nbs)
+        return tuple(lists)
 
 
 def reach(g: OrderedGraph, start: int) -> bytearray:
@@ -162,7 +167,9 @@ def induced_subgraph(g: OrderedGraph, w: Iterable[int]) -> tuple[OrderedGraph, t
 
 
 def is_permutation(order: Sequence[int], n: int) -> bool:
-    return len(order) == n and sorted(order) == list(range(n))
+    """True iff the order lists each of 0..n-1 once; compares its sorted
+    copy with ``range(n)`` without building the range as a list."""
+    return len(order) == n and all(map(eq, sorted(order), range(n)))
 
 
 def _require_order(g: OrderedGraph, order: Sequence[int]) -> None:

@@ -456,6 +456,32 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
     return _quotient_stable(run, parts, block_of, anchors)
 
 
+def block_verdicts(run: SearchTrace, blocks: Sequence[Sequence[int]]) -> dict[str, bool]:
+    """Verdicts by name on blocks each headed by its anchor, read off one
+    ``_interval_partition`` pass: "block-intervals", each block is an
+    interval of the run's order that starts at its anchor and lists each
+    member once, and "quotient-stability", as ``verify_quotient_stability``
+    on the blocks.  A malformed list (an empty block, a member outside the
+    graph, a vertex in two blocks or in none) fails both; a member repeated
+    within its own block still partitions, as in a set, and fails only the
+    block check."""
+    partition = _interval_partition(blocks, run.positions)
+    if partition is None:
+        return {"block-intervals": False, "quotient-stability": False}
+    block_of, sizes, anchors = partition
+    try:
+        quotient_ok = _quotient_stable(run, blocks, block_of, anchors)
+    except ValueError:
+        quotient_ok = False
+    return {
+        "block-intervals": all(
+            size == len(block) and block[0] == anchor
+            for block, size, anchor in zip(blocks, sizes, anchors)
+        ),
+        "quotient-stability": quotient_ok,
+    }
+
+
 def _interval_partition(
     parts: Sequence[Sequence[int]], positions: Sequence[int]
 ) -> tuple[list[int], list[int], list[int | None]] | None:
@@ -531,29 +557,15 @@ def _quotient_stable(
     return searched == expected
 
 
-@dataclass(frozen=True)
-class LevelVerdict:
-    """Results of the three level-structure checks; the interval and parent
-    checks are None when the graph has a cycle."""
-
-    acyclic: bool
-    levels_are_intervals: bool | None
-    levels_in_order: bool | None
-    parents_one_level_up: bool | None
-
-    def all_pass(self) -> bool:
-        return self.acyclic and bool(
-            self.levels_are_intervals and self.levels_in_order and self.parents_one_level_up
-        )
-
-
 def level_decomposition(
     g: OrderedGraph, order: Sequence[int]
-) -> tuple[tuple[frozenset[int], ...], LevelVerdict]:
-    """Distance levels from the order's first vertex, the root, with
-    structure checks for acyclic graphs: each level is an interval of the
-    order, levels appear in increasing distance order, and the
-    least-neighbor map drops every vertex exactly one level."""
+) -> tuple[tuple[frozenset[int], ...], dict[str, bool]]:
+    """Distance levels from the order's first vertex, the root, and verdicts
+    by name.  A graph with a cycle gets ``{"acyclic": False}`` alone; on an
+    acyclic graph ``"acyclic"`` is followed by the structure checks: each
+    level is an interval of the order, levels appear in increasing distance
+    order, and the least-neighbor map drops every vertex exactly one
+    level."""
     parent = least_neighbor_map(g, order)
     positions = invert_permutation(order)
     if not _parents_in_order(order, positions, parent):
@@ -572,21 +584,16 @@ def level_decomposition(
         if nxt:
             levels.append(frozenset(nxt))
         frontier = nxt
-    acyclic = len(g.edges) == g.vertex_count - 1
-    if not acyclic:
-        return tuple(levels), LevelVerdict(False, None, None, None)
-    intervals = True
-    in_order = True
-    bounds = []
-    for level in levels:
-        ps = sorted(positions[v] for v in level)
-        if ps[-1] - ps[0] + 1 != len(level):
-            intervals = False
-        bounds.append((ps[0], ps[-1]))
-    for (lo1, hi1), (lo2, hi2) in zip(bounds, bounds[1:]):
-        if hi1 >= lo2:
-            in_order = False
-    parents_up = all(
-        parent[v] in levels[i - 1] for i in range(1, len(levels)) for v in levels[i]
-    )
-    return tuple(levels), LevelVerdict(True, intervals, in_order, parents_up)
+    if len(g.edges) != g.vertex_count - 1:
+        return tuple(levels), {"acyclic": False}
+    bounds = [(min(ps), max(ps)) for ps in ([positions[v] for v in level] for level in levels)]
+    return tuple(levels), {
+        "acyclic": True,
+        "levels-are-intervals": all(
+            hi - lo + 1 == len(level) for (lo, hi), level in zip(bounds, levels)
+        ),
+        "levels-in-order": all(hi < lo for (_, hi), (lo, _) in zip(bounds, bounds[1:])),
+        "parents-one-level-up": all(
+            parent[v] in levels[i - 1] for i in range(1, len(levels)) for v in levels[i]
+        ),
+    }

@@ -19,14 +19,17 @@ finite depth k:
 
 The predicted traversal is assembled compositionally: blocks follow the
 anchors' order and inside a block the anchor comes first, then the piece's
-own predicted traversal.  The search itself is never consulted for the
-prediction; agreement with the actual search output is a checked verdict.
+own predicted traversal.  A block is the tuple of its members in that
+order, so its first member is its anchor.  The search itself is never
+consulted for the prediction; agreement with the actual search output is a
+checked verdict.
 
 Nothing is copied or sorted that the output does not need.  The build emits
 every edge as (min, max), so one sort over its presorted runs makes the
 edges canonical, and the top-level blocks are slices of the predicted
-traversal.  ``verify_witness`` checks the blocks in O(n) beside the search,
-and ``format_manifest`` makes the whole certificate with one format.  The
+traversal.  ``verify_witness`` returns its four verdicts by name, and
+``predicates.block_verdicts`` checks the blocks in O(n) beside the search;
+``format_manifest`` makes the whole certificate with one format.  The
 envelope (``MAX_M``, ``MAX_N``, ``MAX_K``) bounds the builds;
 ``graph.MAX_VERTICES`` bounds parsed and random graphs only.  The largest
 build, (3, 6, 64), has 1,864,135 vertices, 1.86 times that bound.
@@ -40,7 +43,7 @@ from typing import Sequence
 
 from .graph import OrderedGraph, Traversal
 from .ordinal import OMEGA, Ordinal, zeta
-from .predicates import _interval_partition, _quotient_stable
+from .predicates import block_verdicts
 from .search import deterministic_search
 
 MAX_M = 3
@@ -49,19 +52,10 @@ MAX_K = 64
 
 
 @dataclass(frozen=True)
-class Block:
-    """An interval of the predicted traversal; the anchor is its first
-    element."""
-
-    anchor: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class WitnessBuild:
     graph: OrderedGraph
     predicted: Traversal
-    blocks: tuple[Block, ...]
+    blocks: tuple[tuple[int, ...], ...]
     m: int
     n: int
     k: int
@@ -77,26 +71,6 @@ class WitnessBuild:
     @property
     def zeta_value(self) -> Ordinal:
         return zeta(self.alpha)
-
-
-@dataclass(frozen=True)
-class WitnessVerdict:
-    predicted_matches_search: bool
-    blocks_are_intervals: bool
-    quotient_stable: bool
-    profile_matches: bool
-
-    def all_pass(self) -> bool:
-        return all(self.by_name().values())
-
-    def by_name(self) -> dict[str, bool]:
-        """The four verdicts under their CLI names, in CLI order."""
-        return {
-            "predicted-traversal": self.predicted_matches_search,
-            "block-intervals": self.blocks_are_intervals,
-            "quotient-stability": self.quotient_stable,
-            "zeta-profile": self.profile_matches,
-        }
 
 
 def _check_envelope(m: int, n: int, k: int) -> None:
@@ -181,7 +155,7 @@ def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
     predicted = tuple(predicted)
     # Each top-level block is the anchor followed by its piece: a slice.
     step = size // _top_block_count(m, n, k)
-    blocks = tuple(Block(predicted[i], predicted[i : i + step]) for i in range(0, size, step))
+    blocks = tuple(predicted[i : i + step] for i in range(0, size, step))
     return WitnessBuild(
         graph=OrderedGraph._canonical(size, tuple(edges)),
         predicted=predicted,
@@ -193,38 +167,20 @@ def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
     )
 
 
-def verify_witness(build: WitnessBuild) -> WitnessVerdict:
-    """Check the build's certificate against an actual search run.
-
-    The block certificate and the quotient check share one partition and
-    interval check, which reads one list of each vertex's block: no set,
-    dict or sort over the vertices.  A malformed block list (an empty block,
-    a member outside the graph, a vertex in two blocks or in none) fails
-    both verdicts; a member repeated within its own block still partitions,
-    as in a set, and fails only the block check."""
+def verify_witness(build: WitnessBuild) -> dict[str, bool]:
+    """The build's four certificate verdicts by name, in CLI order, against
+    an actual search run: the search output is the prediction, the blocks
+    pass ``predicates.block_verdicts``, and the block profile and nesting
+    depth are the ones (m, n, k) asks for."""
     run = deterministic_search(build.graph, 0)
-    predicted_ok = run.visit_order == build.predicted
-    parts = [block.members for block in build.blocks]
-    blocks_ok = quotient_ok = False
-    partition = _interval_partition(parts, run.positions)
-    if partition is not None:
-        block_of, sizes, anchors = partition
-        blocks_ok = all(
-            size == len(block.members) and block.members[0] == block.anchor == anchor
-            for block, size, anchor in zip(build.blocks, sizes, anchors)
-        )
-        try:
-            quotient_ok = _quotient_stable(run, parts, block_of, anchors)
-        except ValueError:
-            pass
-
-    sizes = {len(b.members) for b in build.blocks}
-    profile_ok = (
-        len(build.blocks) == _top_block_count(build.m, build.n, build.k)
-        and len(sizes) == 1
-        and build.nesting_depth == build.m
-    )
-    return WitnessVerdict(predicted_ok, blocks_ok, quotient_ok, profile_ok)
+    blocks = build.blocks
+    return {
+        "predicted-traversal": run.visit_order == build.predicted,
+        **block_verdicts(run, blocks),
+        "zeta-profile": len(blocks) == _top_block_count(build.m, build.n, build.k)
+        and len(set(map(len, blocks))) == 1
+        and build.nesting_depth == build.m,
+    }
 
 
 def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
@@ -260,7 +216,7 @@ def format_manifest(build: WitnessBuild) -> str:
             "e %d %d\n" * len(g.edges),
             "predicted: " + " ".join(["%d"] * len(build.predicted)) + "\n",
             *(
-                "block: anchor=%d members=" + " ".join(["%d"] * len(block.members)) + "\n"
+                "block: anchor=%d members=" + " ".join(["%d"] * len(block)) + "\n"
                 for block in build.blocks
             ),
         ]
@@ -270,7 +226,7 @@ def format_manifest(build: WitnessBuild) -> str:
             (build.m, build.n, build.k, build.alpha, build.zeta_value, g.vertex_count),
             chain.from_iterable(g.edges),
             build.predicted,
-            chain.from_iterable((block.anchor, *block.members) for block in build.blocks),
+            chain.from_iterable((block[0], *block) for block in build.blocks),
         )
     )
     return template % values

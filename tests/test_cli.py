@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -19,7 +20,7 @@ from ordsearch import acceptance, cli, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
-from ordsearch.witness import WitnessVerdict, build_zeta_witness, format_manifest
+from ordsearch.witness import build_zeta_witness, format_manifest
 
 SIX = "n 6\ne 0 1\ne 1 2\ne 2 4\ne 4 5\ne 5 0\ne 3 5\n"
 
@@ -468,7 +469,7 @@ def test_stability_and_witness_verdicts_search_their_graph_once(capsys, monkeypa
     # The request's first search is of its input.
     assert Counter(map(id, searched))[id(searched[0])] == 1
     build = build_zeta_witness(2, 1, 3)
-    assert witness.verify_witness(build).all_pass()
+    assert all(witness.verify_witness(build).values())
     assert Counter(map(id, searched))[id(build.graph)] == 1
 
 
@@ -500,7 +501,13 @@ class TestWitness:
         assert "zeta-profile: PASS" in out
 
     def test_failed_certificate_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_witness", lambda build: WitnessVerdict(True, True, False, True))
+        verdicts = {
+            "predicted-traversal": True,
+            "block-intervals": True,
+            "quotient-stability": False,
+            "zeta-profile": True,
+        }
+        monkeypatch.setattr(cli, "verify_witness", lambda build: verdicts)
         code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2", "--verify")
         assert code == 1
         assert out.endswith(
@@ -512,6 +519,110 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--m", "9", "--n", "0", "--k", "2")
         assert code == 2
         assert "envelope" in err
+
+
+WITNESS_112 = (
+    "witness m=1 n=1 k=2 alpha=w+1 zeta=w*2\n"
+    "# truncated construction; the block certificate is evidence, not proof\n"
+    "n 6\ne 0 1\ne 0 5\ne 1 3\ne 2 4\ne 2 5\n"
+    "predicted: {}\n"
+    "block: anchor=0 members=0 1 3\n"
+    "block: anchor=5 members=5 2 4\n"
+)
+IDENTITY_LINES = (
+    "idempotent: PASS\nbfs-fixed-by-search: PASS\nsearch-tree-retraversal: PASS\n"
+    "bfs-tree-retraversal: PASS\nnote: bfs-after-search equals bfs on this input: no\n"
+)
+
+
+def _reversed_prediction(m, n, k):
+    build = witness.build_zeta_witness(m, n, k)
+    return replace(build, predicted=build.predicted[::-1])
+
+
+# Every shape of verdict output: argv after the graph file (None: no graph),
+# the cli attribute patched and its stand-in, the exit code and the whole
+# stdout.
+VERDICT_OUTPUTS = {
+    "lexmin": (
+        ["verify", "--suite", "lexmin"], None, 0,
+        "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n",
+    ),
+    "lexmin-fail": (
+        ["verify", "--suite", "lexmin"],
+        ("verify_lex_min", lambda g: {"lex-min-traversal": False, "lex-min-breadth-first": True}),
+        1, "lex-min-traversal: FAIL\nlex-min-breadth-first: PASS\n",
+    ),
+    "colexmax": (["verify", "--suite", "colexmax"], None, 0, "colex-max-inverse: PASS\n"),
+    "colexmax-fail": (
+        ["verify", "--suite", "colexmax"],
+        ("verify_colex_max", lambda g: {"colex-max-inverse": False}),
+        1, "colex-max-inverse: FAIL\n",
+    ),
+    "stability": (
+        ["verify", "--suite", "stability"], None, 0,
+        "subset-stability: PASS [12 closed sets]\nquotient-stability-singletons: PASS\n"
+        "quotient-stability-whole: PASS\n",
+    ),
+    "stability-fail": (
+        ["verify", "--suite", "stability"],
+        ("verify_subset_stability", lambda run, w: False),
+        1,
+        "subset-stability: FAIL [12 closed sets]\nquotient-stability-singletons: PASS\n"
+        "quotient-stability-whole: PASS\n",
+    ),
+    "identities": (
+        ["verify", "--suite", "identities"], None, 0,
+        "search-fixes-traversals: PASS [vacuous: input order is not a traversal]\n" + IDENTITY_LINES,
+    ),
+    "identities-probes": (
+        ["verify", "--suite", "identities", "--probes", "5", "--seed", "1"], None, 0,
+        "search-fixes-traversals: PASS [vacuous: input order is not a traversal]\n" + IDENTITY_LINES
+        + "note: bfs-after-search differed from bfs on 0 of 5 probed orders\n",
+    ),
+    # The input order 0..5 is no traversal; called one, search must fix it.
+    "identities-fail": (
+        ["verify", "--suite", "identities"],
+        ("is_traversal", lambda g, order: True),
+        1, "search-fixes-traversals: FAIL\n" + IDENTITY_LINES,
+    ),
+    "traversal-pass": (["check", "--order", *"0 1 5 2 3 4".split(), "--kind", "traversal"], None, 0, "traversal: PASS\n"),
+    "traversal-fail": (["check", "--order", *"0 2 1 4 5 3".split(), "--kind", "traversal"], None, 1, "traversal: FAIL\n"),
+    "bfs-pass": (["check", "--order", *"0 1 5 2 3 4".split(), "--kind", "bfs"], None, 0, "breadth-first: PASS\n"),
+    "bfs-wrong-kind": (["check", "--order", *"0 1 2 4 5 3".split(), "--kind", "bfs"], None, 1, "breadth-first: FAIL\n"),
+    "bfs-non-traversal": (
+        ["check", "--order", *"0 2 1 4 5 3".split(), "--kind", "bfs"], None, 1,
+        "breadth-first: FAIL [not a traversal]\n",
+    ),
+    "dfs-pass": (["check", "--order", *"0 1 2 4 5 3".split(), "--kind", "dfs"], None, 0, "depth-first: PASS\n"),
+    "dfs-wrong-kind": (["check", "--order", *"0 1 5 2 3 4".split(), "--kind", "dfs"], None, 1, "depth-first: FAIL\n"),
+    "dfs-non-traversal": (
+        ["check", "--order", *"0 2 1 4 5 3".split(), "--kind", "dfs"], None, 1,
+        "depth-first: FAIL [not a traversal]\n",
+    ),
+    "witness": (
+        None, None, 0,
+        WITNESS_112.format("0 1 3 5 2 4")
+        + "predicted-traversal: PASS\nblock-intervals: PASS\nquotient-stability: PASS\nzeta-profile: PASS\n",
+    ),
+    "witness-fail": (
+        None, ("build_zeta_witness", _reversed_prediction), 1,
+        WITNESS_112.format("4 2 5 3 1 0")
+        + "predicted-traversal: FAIL\nblock-intervals: PASS\nquotient-stability: PASS\nzeta-profile: PASS\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_OUTPUTS)
+def test_verdict_output_is_pinned(capsys, monkeypatch, six_file, case):
+    argv, patch, code, out = VERDICT_OUTPUTS[case]
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    if argv is None:
+        argv = ["witness", "--m", "1", "--n", "1", "--k", "2", "--verify"]
+    else:
+        argv = [argv[0], six_file, *argv[1:]]
+    assert run(capsys, *argv) == (code, out, "")
 
 
 class TestZeta:

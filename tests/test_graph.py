@@ -17,6 +17,7 @@ from ordsearch.graph import (
     induced_subgraph,
     invert_permutation,
     is_connected,
+    is_permutation,
     random_connected_graph,
     reach,
     relabel,
@@ -25,6 +26,7 @@ from ordsearch.graph import (
     _pair_indices,
     _uniform_spanning_tree,
 )
+from ordsearch.witness import build_zeta_witness
 
 
 class TestConstruction:
@@ -42,6 +44,54 @@ class TestConstruction:
 
     def test_adjacency_sorted(self, six_cycle_tail):
         assert six_cycle_tail.adjacency[5] == (0, 3, 4)
+
+    def test_adjacency_peak_memory(self):
+        # traverse-large's witness graph: 65,640 vertices, 4.2 MB of neighbor
+        # tuples.  Freeing each list as its tuple is made peaks at 1.5 times
+        # that; holding every list until the last tuple was made, at 2.5.
+        g = build_zeta_witness(3, 0, 40).graph
+        tracemalloc.start()
+        try:
+            adjacency = g.adjacency
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adjacency == sorted_neighbor_lists(g.vertex_count, g.edges)
+        assert peak < 2 * kept
+
+
+class TestIsPermutation:
+    @pytest.mark.parametrize(
+        "order, n, expected",
+        [
+            ((), 0, True),
+            ((0,), 1, True),
+            ((2, 0, 1), 3, True),
+            ((0, 1), 3, False),
+            ((0, 1, 2, 3), 3, False),
+            ((0, 0, 1), 3, False),
+            ((0, 1, 3), 3, False),
+            ((-1, 0, 1), 3, False),
+            ((1,), 1, False),
+        ],
+    )
+    def test_cases(self, order, n, expected):
+        assert is_permutation(order, n) is expected
+
+    def test_peak_memory(self):
+        # Sorting the order copies n pointers, 1.6 MB here; building
+        # list(range(n)) to compare with added 200,000 fresh integers, 9.6 MB
+        # in all.
+        order = tuple(range(200_000))[::-1]
+        broken = order[:-1] + (1,)
+        tracemalloc.start()
+        try:
+            results = is_permutation(order, len(order)), is_permutation(broken, len(order))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results == (True, False)
+        assert peak < 4 * 10**6
 
 
 class TestConnectivity:

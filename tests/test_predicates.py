@@ -721,14 +721,21 @@ def test_empty_graph_has_no_traversals(call):
     assert str(exc.value) == "no traversals of the empty graph"
 
 
+LEVELS_PASS = {
+    "acyclic": True,
+    "levels-are-intervals": True,
+    "levels-in-order": True,
+    "parents-one-level-up": True,
+}
+
+
 class TestLevelDecomposition:
     def test_depth_two_binary_tree(self):
         g = build_bfs_tree_witness(2, 2)
         order = bfs_search(g).visit_order
         levels, verdict = level_decomposition(g, order)
         assert [len(l) for l in levels] == [1, 2, 4]
-        assert verdict.acyclic
-        assert verdict.all_pass()
+        assert list(verdict.items()) == list(LEVELS_PASS.items())
 
     def test_walks_the_least_neighbor_map_once(self, monkeypatch):
         walks = []
@@ -739,27 +746,26 @@ class TestLevelDecomposition:
 
         monkeypatch.setattr(predicates, "least_neighbor_map", counting)
         g = build_bfs_tree_witness(2, 3)
-        assert level_decomposition(g, bfs_search(g).visit_order)[1].all_pass()
+        assert level_decomposition(g, bfs_search(g).visit_order)[1] == LEVELS_PASS
         assert len(walks) == 1
 
     def test_single_vertex(self):
         levels, verdict = level_decomposition(OrderedGraph(1), (0,))
         assert levels == (frozenset({0}),)
-        assert verdict.all_pass()
+        assert verdict == LEVELS_PASS
 
     def test_path_from_end(self):
         g = path_graph(4)
         levels, verdict = level_decomposition(g, (0, 1, 2, 3))
         assert [sorted(l) for l in levels] == [[0], [1], [2], [3]]
-        assert verdict.all_pass()
+        assert verdict == LEVELS_PASS
 
     def test_cycle_skips_structure_checks(self):
         g = cycle_graph(4)
         order = bfs_search(g).visit_order
         levels, verdict = level_decomposition(g, order)
-        assert not verdict.acyclic
-        assert verdict.levels_are_intervals is None
-        assert not verdict.all_pass()
+        assert [sorted(l) for l in levels] == [[0], [1, 3], [2]]
+        assert verdict == {"acyclic": False}
 
     def test_rejects_non_breadth_first(self, six_cycle_tail):
         with pytest.raises(ValueError, match="breadth-first"):

@@ -7,10 +7,9 @@ from conftest import path_graph, star_graph
 from ordsearch.acceptance import _witness_grid
 from ordsearch.graph import OrderedGraph
 from ordsearch.ordinal import Ordinal
-from ordsearch.predicates import level_decomposition, verify_quotient_stability
+from ordsearch.predicates import block_verdicts, level_decomposition, verify_quotient_stability
 from ordsearch.search import bfs_search, deterministic_search
 from ordsearch.witness import (
-    Block,
     WitnessBuild,
     _anchor_layout,
     _build,
@@ -27,10 +26,7 @@ class TestBuildZetaWitness:
         b = build_zeta_witness(1, 1, 2)
         assert b.graph == OrderedGraph(6, ((0, 1), (1, 3), (2, 4), (5, 2), (0, 5)))
         assert b.predicted == (0, 1, 3, 5, 2, 4)
-        assert [(blk.anchor, set(blk.members)) for blk in b.blocks] == [
-            (0, {0, 1, 3}),
-            (5, {5, 2, 4}),
-        ]
+        assert b.blocks == ((0, 1, 3), (5, 2, 4))
         # independent confirmation: run the search on the built graph
         assert deterministic_search(b.graph).visit_order == b.predicted
 
@@ -49,7 +45,7 @@ class TestBuildZetaWitness:
 
     def test_anchor_pieces_interleave_for_finite_part(self):
         b = build_zeta_witness(1, 1, 2)
-        assert {tuple(sorted(blk.members)) for blk in b.blocks} == {(0, 1, 3), (2, 4, 5)}
+        assert {tuple(sorted(blk)) for blk in b.blocks} == {(0, 1, 3), (2, 4, 5)}
 
     def test_rejects_outside_envelope(self):
         for m, n, k in [(0, 0, 3), (4, 0, 2), (0, 7, 2), (1, 1, 0), (1, 1, 65), (-1, 2, 3)]:
@@ -68,8 +64,7 @@ class TestBuildZetaWitness:
 class TestVerifyWitness:
     def test_hand_checked_build(self):
         verdict = verify_witness(build_zeta_witness(1, 1, 2))
-        assert verdict.all_pass()
-        assert list(verdict.by_name().items()) == [
+        assert list(verdict.items()) == [
             ("predicted-traversal", True),
             ("block-intervals", True),
             ("quotient-stability", True),
@@ -80,7 +75,7 @@ class TestVerifyWitness:
         for n in range(0, 5):
             if n == 0:
                 continue
-            assert verify_witness(build_zeta_witness(0, n, 1)).all_pass()
+            assert all(verify_witness(build_zeta_witness(0, n, 1)).values())
 
     def test_small_grid_passes(self):
         for m in range(0, 3):
@@ -90,15 +85,15 @@ class TestVerifyWitness:
                 for k in (1, 2, 3, 5, 8):
                     build = build_zeta_witness(m, n, k)
                     verdict = verify_witness(build)
-                    assert verdict.all_pass(), (m, n, k, verdict)
+                    assert all(verdict.values()), (m, n, k, verdict)
 
     def test_spot_check_depth_three(self):
-        assert verify_witness(build_zeta_witness(3, 0, 4)).all_pass()
-        assert verify_witness(build_zeta_witness(3, 1, 4)).all_pass()
+        assert all(verify_witness(build_zeta_witness(3, 0, 4)).values())
+        assert all(verify_witness(build_zeta_witness(3, 1, 4)).values())
 
     def test_spot_check_wide_envelope(self):
-        assert verify_witness(build_zeta_witness(1, 6, 64)).all_pass()
-        assert verify_witness(build_zeta_witness(2, 6, 32)).all_pass()
+        assert all(verify_witness(build_zeta_witness(1, 6, 64)).values())
+        assert all(verify_witness(build_zeta_witness(2, 6, 32)).values())
 
     def test_detects_wrong_prediction(self):
         good = build_zeta_witness(1, 1, 2)
@@ -111,26 +106,55 @@ class TestVerifyWitness:
             k=good.k,
             nesting_depth=good.nesting_depth,
         )
-        verdict = verify_witness(bad)
-        assert not verdict.predicted_matches_search
-        assert not verdict.all_pass()
+        assert list(verify_witness(bad).values()) == [False, True, True, True]
 
     def test_malformed_blocks_fail_without_raising(self):
         good = build_zeta_witness(1, 1, 2)
-        first, *rest = good.blocks
         # The four verdicts, in CLI order.
-        for blocks, verdicts in (
-            (good.blocks + (Block(0, ()),), (True, False, False, False)),  # an empty block
-            ((Block(first.anchor, (0, 1, 3, 9)), *rest), (True, False, False, False)),  # outside the graph
-            ((Block(first.anchor, (0, 1, 3, -1)), *rest), (True, False, False, False)),  # negative
-            # A member repeated within its own block still partitions the
-            # vertices, so only the block check fails on the length.
-            ((Block(first.anchor, (0, 1, 3, 1)), *rest), (True, False, True, False)),
-            ((Block(first.anchor, (0, 1)), *rest), (True, False, False, False)),  # vertex 3 missing
-            ((Block(first.anchor, (0, 1, 3, 5)), *rest), (True, False, False, False)),  # 5 in two blocks
-        ):
+        for blocks, verdicts in MALFORMED_BLOCKS:
             verdict = verify_witness(replace(good, blocks=blocks))
-            assert tuple(verdict.by_name().values()) == verdicts, blocks
+            assert tuple(verdict.values()) == verdicts, blocks
+
+
+# Block lists on build_zeta_witness(1, 1, 2), whose blocks are (0, 1, 3) and
+# (5, 2, 4), with the four verdicts verify_witness gives them in CLI order.
+MALFORMED_BLOCKS = (
+    (((0, 1, 3), (5, 2, 4), ()), (True, False, False, False)),  # an empty block
+    (((0, 1, 3, 9), (5, 2, 4)), (True, False, False, False)),  # outside the graph
+    (((0, 1, 3, -1), (5, 2, 4)), (True, False, False, False)),  # negative
+    # A member repeated within its own block still partitions the
+    # vertices, so only the block check fails on the length.
+    (((0, 1, 3, 1), (5, 2, 4)), (True, False, True, False)),
+    (((0, 1), (5, 2, 4)), (True, False, False, False)),  # vertex 3 missing
+    (((0, 1, 3, 5), (5, 2, 4)), (True, False, False, False)),  # 5 in two blocks
+    # Partitions the quotient check rejects: (0, 1, 5) is not an interval of
+    # the order 0 1 3 5 2 4, and (3, 5, 2, 4) is one, headed by its anchor,
+    # but 5's least neighbor, 0, lies outside it.
+    (((0, 1, 5), (3, 2, 4)), (True, False, False, True)),
+    (((0, 1), (3, 5, 2, 4)), (True, True, False, False)),
+)
+
+
+class TestBlockVerdicts:
+    def test_malformed_blocks(self):
+        run = deterministic_search(build_zeta_witness(1, 1, 2).graph)
+        for blocks, verdicts in MALFORMED_BLOCKS:
+            assert block_verdicts(run, blocks) == {
+                "block-intervals": verdicts[1],
+                "quotient-stability": verdicts[2],
+            }, blocks
+
+    def test_anchor_heads_its_block(self):
+        # The same members, in the same place, with another member first.
+        run = deterministic_search(build_zeta_witness(1, 1, 2).graph)
+        assert block_verdicts(run, ((0, 1, 3), (5, 2, 4))) == {
+            "block-intervals": True,
+            "quotient-stability": True,
+        }
+        assert block_verdicts(run, ((1, 0, 3), (5, 2, 4))) == {
+            "block-intervals": False,
+            "quotient-stability": True,
+        }
 
 
 def truncation_embedding(m, n, k):
@@ -179,7 +203,7 @@ class TestTruncationCoherence:
             previous = None
             for k in range(1, 12):
                 b = build_zeta_witness(m, n, k)
-                profile = (len(b.blocks), sorted(len(blk.members) for blk in b.blocks))
+                profile = (len(b.blocks), sorted(map(len, b.blocks)))
                 if previous is not None:
                     assert profile[0] >= previous[0]
                     assert all(
@@ -200,7 +224,7 @@ class TestBfsTreeWitness:
         assert order == tuple(range(7))
         levels, verdict = level_decomposition(g, order)
         assert [len(l) for l in levels] == [1, 2, 4]
-        assert verdict.all_pass()
+        assert all(verdict.values())
 
     def test_branching_three_depth_one_is_star(self):
         assert build_bfs_tree_witness(3, 1) == star_graph(4)
@@ -211,7 +235,7 @@ class TestBfsTreeWitness:
                 g = build_bfs_tree_witness(b, d)
                 levels, verdict = level_decomposition(g, bfs_search(g).visit_order)
                 assert [len(l) for l in levels] == [b**i for i in range(d + 1)]
-                assert verdict.all_pass()
+                assert all(verdict.values())
 
     def test_rejects_envelope(self):
         with pytest.raises(ValueError):
@@ -254,7 +278,7 @@ class TestManifest:
     def test_quotient_on_blocks(self):
         for m, n, k in [(1, 2, 4), (2, 0, 5), (2, 2, 3)]:
             b = build_zeta_witness(m, n, k)
-            parts = [set(blk.members) for blk in b.blocks]
+            parts = [set(blk) for blk in b.blocks]
             assert verify_quotient_stability(deterministic_search(b.graph), parts)
 
 
@@ -311,7 +335,7 @@ def _reference_manifest(build):
     lines.extend(f"e {u} {v}" for u, v in build.graph.edges)
     lines.append("predicted: " + " ".join(map(str, build.predicted)))
     for block in build.blocks:
-        lines.append(f"block: anchor={block.anchor} members=" + " ".join(map(str, block.members)))
+        lines.append(f"block: anchor={block[0]} members=" + " ".join(map(str, block)))
     return "\n".join(lines) + "\n"
 
 
@@ -326,26 +350,27 @@ class TestAgainstReference:
             size, edges, predicted, blocks, depth = _reference_build(m, n, k)
             assert build.graph == OrderedGraph._canonical(size, edges), (m, n, k)
             assert build.predicted == predicted, (m, n, k)
-            assert [(b.anchor, b.members) for b in build.blocks] == blocks, (m, n, k)
+            assert [(b[0], b) for b in build.blocks] == blocks, (m, n, k)
             assert build.nesting_depth == depth, (m, n, k)
             assert format_manifest(build) == _reference_manifest(build), (m, n, k)
         assert build_zeta_witness(3, 1, 16).graph.vertex_count == 8_738
 
     def test_above_the_grid_passes_all_verdicts(self):
-        assert verify_witness(build_zeta_witness(3, 1, 16)).all_pass()
+        assert all(verify_witness(build_zeta_witness(3, 1, 16)).values())
 
     def test_malformed_manifest_matches_the_reference(self):
         good = build_zeta_witness(1, 1, 2)
-        for blocks in (good.blocks + (Block(0, ()),), ()):
-            build = replace(good, blocks=blocks, predicted=())
-            assert format_manifest(build) == _reference_manifest(build)
+        build = replace(good, blocks=(), predicted=())
+        assert format_manifest(build) == _reference_manifest(build)
 
 
 def test_build_and_verify_peak_memory():
     # traverse-large's build keeps about 7.4 MB.  The build peaks at 8.0 MB
-    # and the check at 10.7 MB above what the build keeps; when every level's
-    # blocks were copied and the check made a set per block and sorted every
-    # vertex, these were 12.0 and 16.7 MB.
+    # and the check at 8.6 MB above what the build keeps.  The check was at
+    # 10.7 MB while the adjacency index held every neighbor list until its
+    # last tuple was made and the permutation check built list(range(n));
+    # when every level's blocks were copied and the check made a set per
+    # block and sorted every vertex, these were 12.0 and 16.7 MB.
     tracemalloc.start()
     try:
         build = build_zeta_witness(3, 0, 40)
@@ -355,6 +380,6 @@ def test_build_and_verify_peak_memory():
         _, verify_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert verdict.all_pass()
+    assert all(verdict.values())
     assert build_peak < 10 * 10**6
-    assert verify_peak - kept < 13 * 10**6
+    assert verify_peak - kept < 10 * 10**6
