@@ -6,9 +6,9 @@ unexpected exception, reported as one ``internal error: <Type>: <message>``
 line on stderr, without a traceback).  Graphs are read from a file argument,
 `-` meaning standard input.  All output is deterministic for identical
 arguments.  Output that grows with the input (an enumeration, a trace, a
-tree, a random graph) comes from a line iterator, written with
-``sys.stdout.writelines`` as each line is made; those commands raise every
-input error before their first line.
+tree, a random graph, a witness manifest) comes from an iterator of whole
+lines, written with ``sys.stdout.writelines`` as each piece is made; those
+commands raise every input error before their first line.
 
 The argument parser is built on the first call of ``main`` and reused; it
 holds only this module's handlers, which look up library functions by name
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witness(args) -> int:
     build = build_zeta_witness(args.m, args.n, args.k)
-    print(format_manifest(build), end="")
+    sys.stdout.writelines(format_manifest(build))
     return _report(verify_witness(build)) if args.verify else 0
 
 

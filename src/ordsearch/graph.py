@@ -8,10 +8,11 @@ so structural equality is plain equality.
 
 The text format is line based: ``n <count>`` first, then ``e <u> <v>`` lines,
 ``#`` starts a comment, blank lines are ignored.  DOT export is one way and
-can annotate vertices with their position in a traversal.  Both writers,
-``serialize`` and ``dot_export``, yield their text as ``"\n"``-terminated
-lines, made as they are asked for, so writing a graph holds no copy of its
-text.
+can annotate vertices with their position in a traversal.  Both writers
+yield pieces of whole ``"\n"``-terminated lines as they are asked for, so
+writing a graph holds no copy of its text: ``dot_export`` one line a piece,
+``serialize``, the one writer of the line format, ``EDGES_PER_PIECE`` edge
+lines a piece.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ MAX_RANDOM_EDGES = 1_000_000
 """The largest expected number of random pairs, density * n * (n - 1) / 2,
 that ``random_connected_graph`` accepts.  With the spanning tree's n - 1
 edges a generated graph then has at most about two million edges."""
+
+EDGES_PER_PIECE = 2048
+"""The most edge lines ``serialize`` makes with one format: a piece of a few
+tens of KB, written with one ``write`` rather than one per line."""
 
 
 class GraphFormatError(ValueError):
@@ -287,9 +292,12 @@ def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 
 def serialize(g: OrderedGraph) -> Iterator[str]:
-    """The graph's text in the line format, one line at a time."""
+    """The graph's text in the line format: the ``n`` line, then pieces of
+    at most ``EDGES_PER_PIECE`` edge lines."""
     yield f"n {g.vertex_count}\n"
-    yield from map("e %d %d\n".__mod__, g.edges)
+    for i in range(0, len(g.edges), EDGES_PER_PIECE):
+        piece = g.edges[i : i + EDGES_PER_PIECE]
+        yield ("e %d %d\n" * len(piece)) % tuple(chain.from_iterable(piece))
 
 
 def deserialize(text: str) -> OrderedGraph:

@@ -29,7 +29,8 @@ every edge as (min, max), so one sort over its presorted runs makes the
 edges canonical, and the top-level blocks are slices of the predicted
 traversal.  ``verify_witness`` returns its four verdicts by name, and
 ``predicates.block_verdicts`` checks the blocks in O(n) beside the search;
-``format_manifest`` makes the whole certificate with one format.  The
+``format_manifest`` yields the certificate in pieces, the graph's as
+``graph.serialize`` makes them and one format for each other line.  The
 envelope (``MAX_M``, ``MAX_N``, ``MAX_K``) bounds the builds;
 ``graph.MAX_VERTICES`` bounds parsed and random graphs only.  The largest
 build, (3, 6, 64), has 1,864,135 vertices, 1.86 times that bound.
@@ -38,10 +39,9 @@ build, (3, 6, 64), has 1,864,135 vertices, 1.86 times that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .graph import OrderedGraph, Traversal
+from .graph import OrderedGraph, Traversal, serialize
 from .ordinal import OMEGA, Ordinal, zeta
 from .predicates import block_verdicts
 from .search import deterministic_search
@@ -202,31 +202,13 @@ def build_bfs_tree_witness(branching: int, depth: int) -> OrderedGraph:
     return OrderedGraph._canonical(total, edges)
 
 
-def format_manifest(build: WitnessBuild) -> str:
-    """Printable witness certificate: parameters, the graph, the predicted
-    traversal and one line per block.  One template holds every line and
-    one flat tuple every number, so the text is made by one C-level format,
-    without a string per line or a join."""
-    g = build.graph
-    template = "".join(
-        [
-            "witness m=%d n=%d k=%d alpha=%s zeta=%s\n",
-            "# truncated construction; the block certificate is evidence, not proof\n",
-            "n %d\n",
-            "e %d %d\n" * len(g.edges),
-            "predicted: " + " ".join(["%d"] * len(build.predicted)) + "\n",
-            *(
-                "block: anchor=%d members=" + " ".join(["%d"] * len(block)) + "\n"
-                for block in build.blocks
-            ),
-        ]
-    )
-    values = tuple(
-        chain(
-            (build.m, build.n, build.k, build.alpha, build.zeta_value, g.vertex_count),
-            chain.from_iterable(g.edges),
-            build.predicted,
-            chain.from_iterable((block[0], *block) for block in build.blocks),
-        )
-    )
-    return template % values
+def format_manifest(build: WitnessBuild) -> Iterator[str]:
+    """Printable witness certificate, in pieces of whole lines: parameters,
+    the graph as ``serialize`` writes it, the predicted traversal and one
+    line per block, each of those lines made by one format."""
+    yield f"witness m={build.m} n={build.n} k={build.k} alpha={build.alpha} zeta={build.zeta_value}\n"
+    yield "# truncated construction; the block certificate is evidence, not proof\n"
+    yield from serialize(build.graph)
+    yield ("predicted: " + " ".join(["%d"] * len(build.predicted)) + "\n") % build.predicted
+    for block in build.blocks:
+        yield ("block: anchor=%d members=" + " ".join(["%d"] * len(block)) + "\n") % (block[0], *block)

@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import io
-import itertools
 
 import pytest
 
-from ordsearch.graph import OrderedGraph, is_connected
+from ordsearch.acceptance import graph_from_adjacency, iter_connected_adjacency
+from ordsearch.graph import OrderedGraph
 
 
 class DigestSink(io.TextIOBase):
@@ -48,15 +49,13 @@ def star_graph(n: int) -> OrderedGraph:
     return OrderedGraph(n, tuple((0, i) for i in range(1, n)))
 
 
+@functools.cache
 def all_connected_graphs(n):
-    """Every labeled connected graph on n vertices (brute force over edge
-    subsets)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        g = OrderedGraph(n, edges)
-        if n == 1 or is_connected(g):
-            yield g
+    """Every labeled connected graph on n vertices, in the order of their
+    edge subsets, made once per n and kept for the test run.  They come
+    from the acceptance suite's brute force, whose bitmask flood fill
+    shares no code with the library's ``is_connected``."""
+    return tuple(map(graph_from_adjacency, iter_connected_adjacency(n)))
 
 
 def prefix_connected(g, order):

@@ -492,7 +492,7 @@ class TestWitness:
     def test_manifest(self, capsys):
         code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2")
         assert code == 0
-        assert out == format_manifest(build_zeta_witness(1, 1, 2))
+        assert out == "".join(format_manifest(build_zeta_witness(1, 1, 2)))
 
     def test_verify_flag(self, capsys):
         code, out, _ = run(capsys, "witness", "--m", "2", "--n", "1", "--k", "3", "--verify")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DigestSink, complete_graph, cycle_graph, path_graph, text_digest
 from ordsearch.graph import (
+    EDGES_PER_PIECE,
     MAX_RANDOM_EDGES,
     MAX_VERTICES,
     GraphFormatError,
@@ -448,9 +449,10 @@ class TestDotExport:
 
 
 class TestWritersStream:
-    """``serialize`` and ``dot_export`` make each line as it is written.  The
-    graph joins each of 10,000 vertices to the next 10, so it has 99,945
-    edges and its text is 1.2 to 1.9 MB; it is built before the
+    """``serialize`` and ``dot_export`` make each piece as it is written:
+    ``dot_export`` one line, ``serialize`` up to ``EDGES_PER_PIECE`` edge
+    lines.  The graph joins each of 10,000 vertices to the next 10, so it
+    has 99,945 edges and its text is 1.2 to 1.9 MB; it is built before the
     measurement, which covers the writer's call and the writing."""
 
     N, WIDTH = 10_000, 10
@@ -478,6 +480,13 @@ class TestWritersStream:
         assert written == text_digest(expected)
         assert written[1] > 1_000_000
         assert peak < 2**18
+
+    def test_serialize_pieces_are_whole_lines(self, band):
+        pieces = list(serialize(band))
+        assert pieces[0] == f"n {self.N}\n"
+        assert all(p.endswith("\n") for p in pieces)
+        assert max(p.count("\n") for p in pieces) <= EDGES_PER_PIECE
+        assert len(pieces) <= 1 + math.ceil(len(band.edges) / EDGES_PER_PIECE)
 
     def test_dot_export(self, band):
         written, peak = self.written(lambda: dot_export(band))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import path_graph, star_graph
+from conftest import DigestSink, path_graph, star_graph
 from ordsearch.acceptance import _witness_grid
 from ordsearch.graph import OrderedGraph
 from ordsearch.ordinal import Ordinal
@@ -260,7 +260,7 @@ def test_builders_emit_canonical_graphs():
 
 class TestManifest:
     def test_golden_small(self):
-        text = format_manifest(build_zeta_witness(1, 1, 2))
+        text = "".join(format_manifest(build_zeta_witness(1, 1, 2)))
         assert text == (
             "witness m=1 n=1 k=2 alpha=w+1 zeta=w*2\n"
             "# truncated construction; the block certificate is evidence, not proof\n"
@@ -274,6 +274,25 @@ class TestManifest:
             "block: anchor=0 members=0 1 3\n"
             "block: anchor=5 members=5 2 4\n"
         )
+
+    def test_streams_in_pieces(self):
+        # traverse-large's build: its manifest is 1.7 MB.  The graph comes
+        # in serialize's pieces and the predicted line, the longest, is
+        # about 0.4 MB.  Made as one template over one tuple of every
+        # number, the manifest peaked at 4.8 MB.
+        build = build_zeta_witness(3, 0, 40)
+        sink = DigestSink()
+        tracemalloc.start()
+        try:
+            sink.writelines(format_manifest(build))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (sink.digest.hexdigest(), sink.size) == (
+            "737df9c5c23e12952d72d9c9e38df130aba3abc083203e99fb28ea2d02acd4ba",
+            1_663_463,
+        )
+        assert peak < 1.5 * 10**6
 
     def test_quotient_on_blocks(self):
         for m, n, k in [(1, 2, 4), (2, 0, 5), (2, 2, 3)]:
@@ -352,7 +371,7 @@ class TestAgainstReference:
             assert build.predicted == predicted, (m, n, k)
             assert [(b[0], b) for b in build.blocks] == blocks, (m, n, k)
             assert build.nesting_depth == depth, (m, n, k)
-            assert format_manifest(build) == _reference_manifest(build), (m, n, k)
+            assert "".join(format_manifest(build)) == _reference_manifest(build), (m, n, k)
         assert build_zeta_witness(3, 1, 16).graph.vertex_count == 8_738
 
     def test_above_the_grid_passes_all_verdicts(self):
@@ -361,7 +380,7 @@ class TestAgainstReference:
     def test_malformed_manifest_matches_the_reference(self):
         good = build_zeta_witness(1, 1, 2)
         build = replace(good, blocks=(), predicted=())
-        assert format_manifest(build) == _reference_manifest(build)
+        assert "".join(format_manifest(build)) == _reference_manifest(build)
 
 
 def test_build_and_verify_peak_memory():
