@@ -24,7 +24,6 @@ from .predicates import (
     is_breadth_first,
     is_traversal,
     level_decomposition,
-    verify_quotient_stability,
     verify_subset_stability,
 )
 from .search import alt_search_with_counts, bfs_search, deterministic_search, traversal_tree
@@ -295,8 +294,9 @@ def criterion_fixed_point_laws() -> None:
 
 
 def criterion_stability() -> None:
-    """Subset stability on 10,000 sampled parent-closed sets and quotient
-    stability on every witness block partition."""
+    """Subset stability on 10,000 sampled parent-closed sets.  Quotient
+    stability on every witness block partition is criterion 7's
+    "quotient-stability" verdict, on the same runs and blocks."""
     rng = random.Random(606)
     total = 0
     while total < 10_000:
@@ -305,10 +305,6 @@ def criterion_stability() -> None:
         for w in closure_samples(run, rng.randrange(1 << 30), 25):
             assert verify_subset_stability(run, w), (g, w)
             total += 1
-    for m, n, k in _witness_grid():
-        b = build_zeta_witness(m, n, k)
-        parts = [set(blk) for blk in b.blocks]
-        assert verify_quotient_stability(deterministic_search(b.graph), parts), (m, n, k)
 
 
 def _witness_grid() -> Iterator[tuple[int, int, int]]:

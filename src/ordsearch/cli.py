@@ -10,23 +10,25 @@ tree, a random graph, a witness manifest) comes from an iterator of whole
 lines, written with ``sys.stdout.writelines`` as each piece is made; those
 commands raise every input error before their first line.
 
-The argument parser is built on the first call of ``main`` and reused; it
-holds only this module's handlers, which look up library functions by name
-when they run.  Each request is parsed once: when the first argument names a
-command, that command's own parser reads the rest, as the full parser would
-hand it over.  Every other request goes through the full parser, so that its
-usage, help and error text stay as they are: no arguments, an option or an
-unknown word first, and arguments the command leaves over ("unrecognized
-arguments" is the full parser's error).
+The argument parsers are built once, by ``functools.cache`` on the first
+request, and reused; they hold only this module's handlers, which look up
+library functions by name when they run.  Each request is parsed once: when
+the first argument names a command, that command's own parser reads the
+rest, as the full parser would hand it over.  Every other request goes
+through the full parser, so that its usage, help and error text stay as they
+are: no arguments, an option or an unknown word first, and arguments the
+command leaves over ("unrecognized arguments" is the full parser's error).
+``selftest`` loads the acceptance suite when it runs, so no other request
+imports it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
-from . import acceptance
 from .graph import (
     DisconnectedGraphError,
     GraphFormatError,
@@ -105,10 +107,8 @@ def _cmd_alt(args) -> int:
 
 def _cmd_tree(args) -> int:
     g = _read_graph(args.graph)
-    if args.bfs:
-        order = bfs_search(g, args.start).visit_order
-    else:
-        order = deterministic_search(g, args.start).visit_order
+    kernel = bfs_search if args.bfs else deterministic_search
+    order = kernel(g, args.start).visit_order
     tree = traversal_tree(g, order)
     sys.stdout.writelines(dot_export(tree, traversal=order) if args.dot else serialize(tree))
     return 0
@@ -218,6 +218,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     criteria = [c for c in acceptance.CRITERIA if args.only in (None, c.number)]
     if not criteria:
         print(f"no criterion numbered {args.only}", file=sys.stderr)
@@ -225,16 +227,13 @@ def _cmd_selftest(args) -> int:
     return 0 if acceptance.run_all(criteria=criteria) else 1
 
 
-def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("graph", help="graph file in the line format, or - for stdin")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
+@functools.cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser, and each command's parser by name."""
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help="graph file in the line format, or - for stdin")
+    start = argparse.ArgumentParser(add_help=False)
+    start.add_argument("--start", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="ordsearch",
         description="Graph search traversals, order predicates, ordinal bounds "
@@ -242,26 +241,19 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", help="deterministic search traversal")
-    _add_graph_arg(p)
-    p.add_argument("--start", type=int, default=0)
+    p = sub.add_parser("search", parents=[graph, start], help="deterministic search traversal")
     p.add_argument("--trace", action="store_true", help="print one line per stage")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("bfs", help="breadth-first traversal")
-    _add_graph_arg(p)
-    p.add_argument("--start", type=int, default=0)
+    p = sub.add_parser("bfs", parents=[graph, start], help="breadth-first traversal")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("alt", help="divide-and-conquer traversal")
-    _add_graph_arg(p)
-    p.add_argument("--start", type=int, default=0)
+    p = sub.add_parser("alt", parents=[graph, start], help="divide-and-conquer traversal")
     p.add_argument("--stats", action="store_true", help="print work counters")
     p.set_defaults(func=_cmd_alt)
 
-    p = sub.add_parser("tree", help="spanning tree of a search run")
-    _add_graph_arg(p)
+    p = sub.add_parser("tree", parents=[graph], help="spanning tree of a search run")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--traversal", action="store_true", help="use deterministic search")
     kind.add_argument("--bfs", action="store_true", help="use breadth-first search")
@@ -269,20 +261,17 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--dot", action="store_true", help="emit DOT instead of the line format")
     p.set_defaults(func=_cmd_tree)
 
-    p = sub.add_parser("check", help="test an order against a predicate")
-    _add_graph_arg(p)
+    p = sub.add_parser("check", parents=[graph], help="test an order against a predicate")
     p.add_argument("--order", type=int, nargs="+", required=True)
     p.add_argument("--kind", choices=("traversal", "bfs", "dfs"), required=True)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("enumerate", help="list all orders of a kind")
-    _add_graph_arg(p)
+    p = sub.add_parser("enumerate", parents=[graph], help="list all orders of a kind")
     p.add_argument("--kind", choices=("all", "bfs", "dfs"), required=True)
     p.add_argument("--start", type=int, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a verdict suite on a graph")
-    _add_graph_arg(p)
+    p = sub.add_parser("verify", parents=[graph], help="run a verdict suite on a graph")
     p.add_argument(
         "--suite", choices=("lexmin", "colexmax", "stability", "identities"), required=True
     )
@@ -320,27 +309,21 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-_parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
-
-
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """One parse of the request; see the module docstring."""
     if argv is None:
         argv = sys.argv[1:]
-    command = _commands.get(argv[0]) if argv else None
+    parser, commands = _build_parsers()
+    command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args
-    return _parser.parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser, _commands
-    if _parser is None:
-        _parser, _commands = _build_parsers()
     args = _parse(argv)
     try:
         return args.func(args)

@@ -120,15 +120,8 @@ class Ordinal:
             return NotImplemented
         return self._key <= other._key
 
-    def __gt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key >= other._key
+    # No __gt__ or __ge__: Python reflects a > b to b < a and a >= b to
+    # b <= a, and a non-Ordinal operand still ends in TypeError.
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -71,7 +71,6 @@ class TraversalSet:
     """All orders of one graph passing one predicate, in lexicographic
     order."""
 
-    kind: str
     orders: tuple[Traversal, ...]
 
     def sorted_orders(self) -> list[Traversal]:
@@ -224,12 +223,6 @@ def _lex_walk(
         rest[d] = nbr[order[i]] & free
 
 
-def _lex_orders(g: OrderedGraph, kind: str, starts: Iterable[int]) -> Iterator[Traversal]:
-    """``_lex_walk`` folding each order into its tuple."""
-    singles = [(v,) for v in range(g.vertex_count)]
-    return _lex_walk(g, kind, starts, [singles] * g.vertex_count)
-
-
 def _enumeration_starts(g: OrderedGraph, kind: str, fixed_start: int | None) -> Sequence[int]:
     """The starts to enumerate from, once every check on the request has
     passed."""
@@ -258,7 +251,8 @@ def enumerate_traversals(
     ``MAX_ENUMERATION_VERTICES`` vertices are refused with ``ValueError``:
     K_n alone has n! orders."""
     starts = _enumeration_starts(g, kind, fixed_start)
-    return TraversalSet(kind, tuple(_lex_orders(g, kind, starts)))
+    singles = [(v,) for v in range(g.vertex_count)]
+    return TraversalSet(tuple(_lex_walk(g, kind, starts, [singles] * g.vertex_count)))
 
 
 def enumeration_lines(
@@ -286,9 +280,9 @@ def _require_enumerable(g: OrderedGraph) -> None:
 
 def _least_order(g: OrderedGraph, kind: str) -> Traversal:
     """The lexicographically least order of the kind ("all" or
-    "breadth_first") from vertex 0 of connected g, the first order
-    ``_lex_orders(g, kind, (0,))`` yields, built by taking the least of
-    the same candidates at each position.  For "all" they wait in a
+    "breadth_first") from vertex 0 of connected g, the first of
+    ``enumerate_traversals(g, kind, 0).orders``, built by taking the least
+    of the same candidates at each position.  For "all" they wait in a
     min-heap of vertices with a placed neighbor, placed ones dropped as they
     surface.  For breadth-first, ``head`` points at the earliest placed
     vertex that may still have an unplaced neighbor and ``i`` into its

@@ -16,6 +16,7 @@ It prints each argv that differs and exits 1 if any does.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import sys
@@ -141,14 +142,15 @@ def outcome(run, argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-_reference_parser = None
+@functools.cache
+def _reference_parser():
+    """A full parser of the reference route's own, built by the uncached
+    ``_build_parsers``, so that it shares no parser with ``main``."""
+    return cli._build_parsers.__wrapped__()[0]
 
 
 def _reference_parse(argv):
-    global _reference_parser
-    if _reference_parser is None:
-        _reference_parser = cli.build_parser()
-    return _reference_parser.parse_args(argv)
+    return _reference_parser().parse_args(argv)
 
 
 def reference_main(argv: list[str]) -> int:

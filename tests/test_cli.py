@@ -830,6 +830,25 @@ def test_argv_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
 
 
 class TestSelftest:
+    def test_only_selftest_loads_the_suite(self):
+        # A fresh process: this one imported the suite long ago.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys, ordsearch.cli\n"
+            "print('ordsearch.acceptance' in sys.modules)\n"
+            "code = ordsearch.cli.main(['selftest', '--only', '1'])\n"
+            "print('ordsearch.acceptance' in sys.modules, code)\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        lines = fresh.stdout.splitlines()
+        assert (fresh.returncode, fresh.stderr, len(lines)) == (0, "", 3), fresh
+        assert lines[0] == "False"
+        assert lines[1].startswith("criterion 1 golden-triple: PASS (")
+        assert lines[2] == "True 0"
+
     def test_single_criterion(self, capsys):
         code, out, _ = run(capsys, "selftest", "--only", "1")
         assert code == 0
@@ -924,6 +943,36 @@ class TestCachedParser:
         monkeypatch.setattr(cli, "bfs_search", patched)
         assert run(capsys, "bfs", six_file, "--start", "2") == (0, "2 1 4 0 5 3\n", "")
         assert calls == [2]
+
+
+def pinned_help() -> dict[str, str]:
+    """``tests/cli_help.txt``: each parser's help text at 100 columns, after
+    a ``### <prog>`` line."""
+    path = os.path.join(os.path.dirname(__file__), "cli_help.txt")
+    with open(path, encoding="utf-8") as handle:
+        sections = handle.read().split("### ")[1:]
+    return dict(section.split("\n", 1) for section in sections)
+
+
+class TestHelpText:
+    """The help and usage text of the full parser and of every command's
+    parser, against a fixed copy.  At 100 columns nothing wraps differently
+    between Python 3.10 and 3.13; at 80, 3.13 wraps two usage lines its own
+    way."""
+
+    PINNED = pinned_help()
+
+    def test_every_parser_is_pinned(self):
+        parser, commands = cli._build_parsers()
+        assert [parser.prog, *(p.prog for p in commands.values())] == list(self.PINNED)
+
+    @pytest.mark.parametrize("prog", list(PINNED))
+    def test_help_and_usage(self, monkeypatch, prog):
+        monkeypatch.setenv("COLUMNS", "100")
+        parser, commands = cli._build_parsers()
+        p = parser if prog == parser.prog else commands[prog.split()[1]]
+        assert p.format_help() == self.PINNED[prog]
+        assert p.format_usage() == self.PINNED[prog].split("\n\n")[0] + "\n"
 
 
 class TestDispatch:

@@ -1,9 +1,11 @@
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_blocks import oracle_add, oracle_mul
+from ordsearch import ordinal
 from ordsearch.ordinal import (
     OMEGA,
     ONE,
@@ -65,6 +67,20 @@ class TestCompare:
                 assert (a < b) == (b > a) == (not a >= b)
                 assert (a <= b) == (b >= a) == (not a > b)
                 assert (a != b) == (not a == b)
+
+    @pytest.mark.parametrize("other", [3, 0, 3.0, "w"])
+    def test_other_types_are_unordered_and_unequal(self, other):
+        # Only __lt__ and __le__ are defined; > and >= reach them reflected,
+        # so every ordering against another type must still raise.
+        a = fin(3)
+        for compare in (
+            lambda: a < other, lambda: a <= other, lambda: a > other, lambda: a >= other,
+            lambda: other < a, lambda: other <= a, lambda: other > a, lambda: other >= a,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert not a == other and not other == a
+        assert a != other and other != a
 
 
 class TestAdd:
@@ -361,3 +377,8 @@ class TestConstruction:
     def test_unique_representation(self):
         assert o("w*2+1") == w * fin(2) + ONE
         assert hash(o("w*2+1")) == hash(w * fin(2) + ONE)
+
+
+def test_docstring_examples():
+    failed, attempted = doctest.testmod(ordinal)
+    assert (failed, attempted) == (0, 3)
