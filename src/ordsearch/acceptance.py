@@ -3,10 +3,11 @@ examples, the ordinal bound function, exhaustive extremality at small sizes,
 algorithm equivalence, the fixed-point laws, stability, the witness builds,
 breadth-first level structure, and predicate equivalences.
 
-Each criterion is a function that raises AssertionError on failure; the
-brute-force sides of the checks (prefix walks, bitmask graph
-enumeration, independent decompositions) are local to this module so they
-share no code path with the library routines they judge.
+Each criterion is a function that raises AssertionError on failure.  The
+brute-force sides of the checks (prefix walks, bitmask graph enumeration,
+independent decompositions, the literal three-vertex breadth-first condition
+of Corneil and Krueger, 2008) are local to this module, so they share no code
+path with the library routines they judge; the tests judge with them too.
 """
 
 from __future__ import annotations
@@ -101,26 +102,6 @@ def _traversals_from_zero(adj: list[int]) -> list[tuple[int, ...]]:
 
     grow(1)
     return out
-
-
-def _monotone_parents(adj: list[int], order: tuple[int, ...]) -> bool:
-    positions = [0] * len(order)
-    for i, v in enumerate(order):
-        positions[v] = i
-    last = -1
-    for v in order[1:]:
-        nbs = adj[v]
-        best = len(order)
-        u = 0
-        while nbs:
-            if nbs & 1 and positions[u] < best:
-                best = positions[u]
-            nbs >>= 1
-            u += 1
-        if best < last:
-            return False
-        last = best
-    return True
 
 
 def _prefix_connected(adj: list[int], order: tuple[int, ...]) -> bool:
@@ -238,9 +219,9 @@ def criterion_zeta_formula() -> None:
 def criterion_lex_colex_exhaustive() -> None:
     """On every labeled connected graph with at most 6 vertices the search
     output is the lex-least traversal from 0, its inverse is colex-greatest,
-    and the breadth-first output is lex-least among breadth-first traversals;
-    the other side of every comparison is a bitmask walk over connected
-    prefixes."""
+    and the breadth-first output is the least traversal that meets the literal
+    three-vertex condition; each comparison's other side is a bitmask walk
+    over connected prefixes."""
     for n in range(1, 7):
         count = 0
         for adj in iter_connected_adjacency(n):
@@ -251,9 +232,8 @@ def criterion_lex_colex_exhaustive() -> None:
             traversals = _traversals_from_zero(adj)
             assert tau == min(traversals), (g, tau)
             assert tau == max(traversals, key=_colex_key), (g, tau)
-            # The traversals come in lex order, so the first breadth-first
-            # one is the least.
-            assert beta == next(t for t in traversals if _monotone_parents(adj, t)), (g, beta)
+            # Traversals come in lex order: the first breadth-first one is least.
+            assert beta == next(t for t in traversals if _breadth_first_triples(adj, t)), (g, beta)
         assert count == CONNECTED_GRAPH_COUNTS[n], (n, count)
 
 

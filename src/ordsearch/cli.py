@@ -30,8 +30,6 @@ import random
 import sys
 
 from .graph import (
-    DisconnectedGraphError,
-    GraphFormatError,
     NotATraversalError,
     OrderedGraph,
     Traversal,
@@ -41,7 +39,7 @@ from .graph import (
     relabel,
     serialize,
 )
-from .ordinal import Ordinal, OrdinalParseError, zeta
+from .ordinal import Ordinal, zeta
 from .predicates import (
     closure_samples,
     enumeration_lines,
@@ -327,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OrdinalParseError, DisconnectedGraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

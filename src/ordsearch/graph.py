@@ -270,8 +270,6 @@ def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     # Decode a uniform random Pruefer sequence; uniform over labeled trees.
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

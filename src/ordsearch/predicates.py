@@ -12,9 +12,10 @@ over the order checks.  Breadth-first: the least-neighbor map is weakly
 monotone.  Depth-first: each vertex after the first is a neighbor of the
 latest earlier vertex that still has an unplaced neighbor (the candidate
 rule of Corneil and Krueger, 2008), in O(n+m).  Both passes reject a
-non-traversal with ``NotATraversalError``.  The literal three-vertex
-conditions stay on the oracle side, in the acceptance suite and the tests,
-so both equivalences are checked exhaustively.
+non-traversal with ``NotATraversalError``.  The literal conditions stay on
+the oracle side: acceptance criterion 9 checks the breadth-first equivalence
+on every traversal at n <= 5, criterion 3 on the search outputs at n = 6,
+and the tests check the depth-first one.
 
 ``enumerate_traversals`` lists the orders of a kind in lexicographic order
 by one backtracking walk, lexicographic generation with restricted prefixes

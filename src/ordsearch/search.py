@@ -66,7 +66,6 @@ class Run:
         return least_neighbor_map(self.graph, self.visit_order)
 
 
-@dataclass(frozen=True)
 class SearchTrace(Run):
     """Deterministic search run.  Stage i picks visit_order[i]; the stage-0
     frontier is the start vertex alone.
@@ -111,7 +110,6 @@ class SearchTrace(Run):
                     text[offset:offset] = b"%d " % w
 
 
-@dataclass(frozen=True)
 class BfsTrace(Run):
     """Breadth-first run.  The queue only ever grows at the end, so each
     stage's queue is a prefix of the final one, the visit order; its length

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from ordsearch.acceptance import graph_from_adjacency, iter_connected_adjacency
+from ordsearch.acceptance import _prefix_connected, graph_from_adjacency, iter_connected_adjacency
 from ordsearch.graph import OrderedGraph
 
 
@@ -58,24 +58,20 @@ def all_connected_graphs(n):
     return tuple(map(graph_from_adjacency, iter_connected_adjacency(n)))
 
 
-def prefix_connected(g, order):
-    """Reference traversal test: search each prefix of the order from its
-    first vertex through g.edges, and compare what it reaches with the
-    prefix.  Calls no library predicate."""
-    neighbors = {v: set() for v in range(g.vertex_count)}
+def edge_masks(g):
+    """The acceptance suite's graph form: one neighbor bitmask per vertex,
+    built from g.edges rather than the library's adjacency index."""
+    masks = [0] * g.vertex_count
     for u, v in g.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    for i in range(1, len(order) + 1):
-        prefix = set(order[:i])
-        reached, stack = {order[0]}, [order[0]]
-        while stack:
-            for w in neighbors[stack.pop()] & prefix - reached:
-                reached.add(w)
-                stack.append(w)
-        if reached != prefix:
-            return False
-    return True
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def prefix_connected(g, order):
+    """Reference traversal test: the acceptance suite's prefix flood fill
+    on g's edge masks.  Calls no library predicate."""
+    return _prefix_connected(edge_masks(g), order)
 
 
 def random_traversal(g, rng):

@@ -433,6 +433,12 @@ class TestVerify:
         assert "note: bfs-after-search equals bfs on this input: no" in out
         assert "probed orders" in out
 
+    def test_identities_probes_count_differing_orders(self, capsys, six_file):
+        code, out, _ = run(capsys, "verify", six_file, "--suite", "identities",
+                           "--probes", "50", "--seed", "0")
+        assert code == 0
+        assert out.endswith("note: bfs-after-search differed from bfs on 1 of 50 probed orders\n")
+
     def test_negative_probes_is_usage_error(self, capsys, six_file):
         code, out, err = run(capsys, "verify", six_file, "--suite", "identities", "--probes", "-1")
         assert code == 2

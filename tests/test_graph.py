@@ -43,6 +43,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrderedGraph(2, ((0, 2),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex_count must be >= 0$"):
+            OrderedGraph(-1)
+
     def test_adjacency_sorted(self, six_cycle_tail):
         assert six_cycle_tail.adjacency[5] == (0, 3, 4)
 
@@ -183,6 +187,11 @@ class TestInducedSubgraph:
     def test_rejects_empty_set(self, six_cycle_tail):
         with pytest.raises(ValueError):
             induced_subgraph(six_cycle_tail, ())
+
+    @pytest.mark.parametrize("w", [{0, 6}, {-1, 0}], ids=["above", "negative"])
+    def test_rejects_out_of_range(self, six_cycle_tail, w):
+        with pytest.raises(ValueError, match="^vertex set out of range$"):
+            induced_subgraph(six_cycle_tail, w)
 
     def test_preserves_adjacency(self):
         rng = random.Random(3)
@@ -391,6 +400,7 @@ class TestSerialization:
         "text, lineno",
         [
             ("n 2\ne 0 2\n", 2),
+            ("n 2\ne 9 0\n", 2),  # the larger endpoint first
             ("n 2\ne 0 1\ne 1 0\n", 3),
             ("n 2\ne 1 1\n", 2),
             ("e 0 1\n", 1),

@@ -1,4 +1,5 @@
 import doctest
+import operator
 import random
 
 import pytest
@@ -297,6 +298,10 @@ class TestFundamentalSequence:
         with pytest.raises(ValueError):
             fundamental_sequence(ZERO, 0)
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="^index must be >= 0$"):
+            fundamental_sequence(w, -1)
+
     def test_strictly_increasing_below_limit(self):
         rng = random.Random(37)
         pool = pool_below_omega_cubed(rng)
@@ -336,7 +341,7 @@ class TestText:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "w+w", "w+0", "w*0", "w^", "1+2", "w^2+w^3", "(w)", "w 1", "w++1", "3+w"],
+        ["", "w+w", "w+0", "w*0", "w^", "1+2", "w^2+w^3", "(w)", "w 1", "w++1", "3+w", "w^(w"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(OrdinalParseError):
@@ -377,6 +382,32 @@ class TestConstruction:
     def test_unique_representation(self):
         assert o("w*2+1") == w * fin(2) + ONE
         assert hash(o("w*2+1")) == hash(w * fin(2) + ONE)
+
+    def test_rejects_non_ordinal_exponent(self):
+        with pytest.raises(TypeError, match="exponent must be an Ordinal"):
+            Ordinal(((1, 1),))
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            w.terms = ()
+
+    def test_from_int_rejects_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            fin(-1)
+
+    def test_to_int_rejects_infinite(self):
+        with pytest.raises(ValueError, match="^w is infinite$"):
+            w.to_int()
+
+    def test_only_zero_is_false(self):
+        assert not ZERO
+        assert ONE and w
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_int_operand_is_type_error(self, op):
+        # No mixed arithmetic: an int must be lifted with from_int first.
+        with pytest.raises(TypeError):
+            op(w, 1)
 
 
 def test_docstring_examples():

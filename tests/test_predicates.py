@@ -10,6 +10,7 @@ from conftest import (
     all_connected_graphs,
     complete_graph,
     cycle_graph,
+    edge_masks,
     path_graph,
     prefix_connected,
     random_traversal,
@@ -35,6 +36,7 @@ from ordsearch.predicates import (
     verify_subset_stability,
 )
 from ordsearch import predicates
+from ordsearch.acceptance import _colex_key, _flood
 from ordsearch.search import (
     BfsTrace,
     SearchTrace,
@@ -45,17 +47,6 @@ from ordsearch.search import (
     traversal_tree,
 )
 from ordsearch.witness import build_bfs_tree_witness
-
-
-def colex_inverse_key(order):
-    """Positions of the greatest vertex down to the least; comparing these
-    keys compares inverse permutations colexicographically.  The test-side
-    judge of ``verify_colex_max``, which folds the same key into one integer
-    per order."""
-    positions = [0] * len(order)
-    for i, v in enumerate(order):
-        positions[v] = i
-    return tuple(reversed(positions))
 
 
 def permutation_filter(g, predicate, fixed_start=None):
@@ -191,12 +182,12 @@ class TestDepthFirstPredicate:
 class TestComparators:
     def test_colex_inverse_path_orders(self):
         # keys read positions of vertex 2, then 1, then 0
-        assert colex_inverse_key((0, 1, 2)) > colex_inverse_key((1, 0, 2))
-        assert colex_inverse_key((1, 2, 0)) > colex_inverse_key((2, 1, 0))
+        assert _colex_key((0, 1, 2)) > _colex_key((1, 0, 2))
+        assert _colex_key((1, 2, 0)) > _colex_key((2, 1, 0))
 
     def test_colex_key_explicit(self):
-        assert colex_inverse_key((0, 1, 2)) == (2, 1, 0)
-        assert colex_inverse_key((1, 0, 2)) == (2, 0, 1)
+        assert _colex_key((0, 1, 2)) == (2, 1, 0)
+        assert _colex_key((1, 0, 2)) == (2, 0, 1)
 
 
 class TestEnumerateTraversals:
@@ -346,7 +337,7 @@ class TestExtremality:
     def test_colex_max_beats_all_starts_on_path(self):
         # among all four traversals of the path, not just those from 0
         ts = enumerate_traversals(path_graph(3), "all")
-        best = max(ts.orders, key=colex_inverse_key)
+        best = max(ts.orders, key=_colex_key)
         assert best == (0, 1, 2)
 
     def test_exhaustive_small(self):
@@ -421,12 +412,12 @@ class TestFoldedWalk:
             for g in all_connected_graphs(n):
                 orders = enumerate_traversals(g, "all", 0).orders
                 tau = deterministic_search(g, 0).visit_order
-                best = max(orders, key=colex_inverse_key)
+                best = max(orders, key=_colex_key)
                 assert verify_colex_max(g) == {"colex-max-inverse": tau == best}
                 if n < 6:
                     keys = list(predicates._lex_walk(g, "all", (0,), predicates._colex_terms(n)))
                     assert keys == [
-                        functools.reduce(lambda a, p: a * n + p, colex_inverse_key(o), 0)
+                        functools.reduce(lambda a, p: a * n + p, _colex_key(o), 0)
                         for o in orders
                     ]
 
@@ -436,7 +427,7 @@ class TestFoldedWalk:
         for n in range(1, 5):
             for g in all_connected_graphs(n):
                 orders = enumerate_traversals(g, "all", 0).orders
-                best = max(orders, key=colex_inverse_key)
+                best = max(orders, key=_colex_key)
                 for order in orders:
                     monkeypatch.setattr(
                         predicates, "deterministic_search", lambda g, start: SearchTrace(order, g)
@@ -639,14 +630,12 @@ def test_closed_parts_are_connected_exhaustively():
     # verify_quotient_stability checks no connectivity, because a part that
     # is closed under the least-neighbor map except at its first element is
     # connected.  Check that on every interval of the search run from 0 of
-    # every connected graph with n <= 6, against a bitmask flood fill.
+    # every connected graph with n <= 6, against the acceptance suite's
+    # bitmask flood fill.
     closed_parts = 0
     for n in range(1, 7):
         for g in all_connected_graphs(n):
-            neighbors = [0] * n
-            for u, v in g.edges:
-                neighbors[u] |= 1 << v
-                neighbors[v] |= 1 << u
+            neighbors = edge_masks(g)
             run = deterministic_search(g)
             tau, positions, parent = run.visit_order, run.positions, run.least_neighbors
             for i in range(n):
@@ -657,16 +646,7 @@ def test_closed_parts_are_connected_exhaustively():
                     if j > i and positions[parent[tau[j]]] < i:
                         break
                     part |= 1 << tau[j]
-                    reached = 1 << tau[i]
-                    while True:
-                        grown = reached
-                        for v in range(n):
-                            if reached >> v & 1:
-                                grown |= neighbors[v] & part
-                        if grown == reached:
-                            break
-                        reached = grown
-                    assert reached == part, (g, tau[i : j + 1])
+                    assert _flood(neighbors, 1 << tau[i], part) == part, (g, tau[i : j + 1])
                     closed_parts += 1
     assert closed_parts == 361_608
 
@@ -676,9 +656,10 @@ def test_closed_parts_are_connected_exhaustively():
     [
         (path_graph(6), verify_subset_stability, {0, 9}, "vertex set out of range"),
         (path_graph(6), verify_subset_stability, {-1, 0}, "vertex set out of range"),
+        (path_graph(6), verify_subset_stability, set(), "vertex set must be nonempty"),
         (path_graph(3), verify_quotient_stability, [{0, 1, 2}, set()], "parts do not partition"),
     ],
-    ids=["subset-above", "subset-negative", "quotient-empty-part"],
+    ids=["subset-above", "subset-negative", "subset-empty", "quotient-empty-part"],
 )
 def test_stability_verdicts_reject_malformed_vertex_sets(g, verdict, arg, message):
     with pytest.raises(ValueError, match=message):

@@ -242,6 +242,8 @@ class TestBfsTreeWitness:
             build_bfs_tree_witness(1, 3)
         with pytest.raises(ValueError):
             build_bfs_tree_witness(10, 7)
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            build_bfs_tree_witness(2, 0)
 
 
 def test_builders_emit_canonical_graphs():
