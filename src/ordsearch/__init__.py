@@ -20,7 +20,6 @@ from .graph import (
 from .ordinal import Ordinal, OrdinalParseError, cofinality, fundamental_sequence, omega_power, omega_quot_rem, zeta
 from .predicates import (
     TraversalSet,
-    block_verdicts,
     closure_samples,
     enumerate_traversals,
     is_breadth_first,

@@ -246,20 +246,19 @@ def criterion_alt_equivalence() -> None:
             g = graph_from_adjacency(adj)
             assert alt_search_with_counts(g)[0] == deterministic_search(g).visit_order
     rng = random.Random(404)
-    for _ in range(20_000):
-        g = random_connected_graph(rng.randint(1, 7), rng.uniform(0.1, 1.0), rng.randrange(1 << 30))
-        start = rng.randrange(g.vertex_count)
-        assert alt_search_with_counts(g, start)[0] == deterministic_search(g, start).visit_order
-    for _ in range(1_000):
-        g = random_connected_graph(rng.randint(1, 14), rng.uniform(0.05, 0.9), rng.randrange(1 << 30))
-        start = rng.randrange(g.vertex_count)
-        assert alt_search_with_counts(g, start)[0] == deterministic_search(g, start).visit_order
+    for count, top, low, high in ((20_000, 7, 0.1, 1.0), (1_000, 14, 0.05, 0.9)):
+        for _ in range(count):
+            g = random_connected_graph(rng.randint(1, top), rng.uniform(low, high), rng.randrange(1 << 30))
+            start = rng.randrange(g.vertex_count)
+            assert alt_search_with_counts(g, start)[0] == deterministic_search(g, start).visit_order
 
 
 def criterion_fixed_point_laws() -> None:
     """Search fixes traversals, is idempotent, fixes breadth-first outputs,
-    and both tree retraversal laws hold, on 5,000 random connected graphs."""
+    and both tree retraversal laws hold, on 5,000 random connected graphs;
+    the identity order is a traversal of 2,645 of them."""
     rng = random.Random(505)
+    fixed = 0
     for _ in range(5_000):
         g = random_connected_graph(rng.randint(1, 20), rng.uniform(0.1, 0.9), rng.randrange(1 << 30))
         identity = tuple(range(g.vertex_count))
@@ -267,10 +266,12 @@ def criterion_fixed_point_laws() -> None:
         beta = bfs_search(g).visit_order
         if is_traversal(g, identity):
             assert tau == identity
+            fixed += 1
         assert deterministic_search(relabel(g, tau)).visit_order == identity
         assert deterministic_search(relabel(g, beta)).visit_order == identity
         assert deterministic_search(traversal_tree(g, tau)).visit_order == tau
         assert bfs_search(traversal_tree(g, beta)).visit_order == beta
+    assert fixed == 2_645, fixed
 
 
 def criterion_stability() -> None:

@@ -186,12 +186,12 @@ def _require_order(g: OrderedGraph, order: Sequence[int]) -> None:
         raise ValueError("no traversals of the empty graph")
 
 
-def invert_permutation(order: Sequence[int]) -> tuple[int, ...]:
+def invert_permutation(order: Sequence[int]) -> list[int]:
     """positions[v] = index of v in order."""
     positions = [0] * len(order)
     for i, v in enumerate(order):
         positions[v] = i
-    return tuple(positions)
+    return positions
 
 
 def relabel(g: OrderedGraph, order: Sequence[int]) -> OrderedGraph:

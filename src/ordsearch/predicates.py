@@ -356,7 +356,7 @@ def _colex_terms(n: int) -> list[list[int]]:
     return [[d * n**v for v in range(n)] for d in range(n)]
 
 
-def _run_facts(run: SearchTrace) -> tuple[Traversal, tuple[int, ...], tuple[int, ...]]:
+def _run_facts(run: SearchTrace) -> tuple[Traversal, list[int], tuple[int, ...]]:
     """The run's order, the positions in it and its least-neighbor map (the
     run derives the last two once, for every verdict on it); the stability
     verdicts are stated for searches from vertex 0 only."""
@@ -451,7 +451,7 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
     return _quotient_stable(run, parts, block_of, anchors)
 
 
-def block_verdicts(run: SearchTrace, blocks: Sequence[Sequence[int]]) -> dict[str, bool]:
+def _block_verdicts(run: SearchTrace, blocks: Sequence[Sequence[int]]) -> dict[str, bool]:
     """Verdicts by name on blocks each headed by its anchor, read off one
     ``_interval_partition`` pass: "block-intervals", each block is an
     interval of the run's order that starts at its anchor and lists each

@@ -56,7 +56,7 @@ class Run:
     graph: OrderedGraph = field(compare=False, repr=False)
 
     @cached_property
-    def positions(self) -> tuple[int, ...]:
+    def positions(self) -> list[int]:
         """positions[v] = index of v in the visit order."""
         return invert_permutation(self.visit_order)
 

@@ -27,8 +27,8 @@ checked verdict.
 Nothing is copied or sorted that the output does not need.  The build emits
 every edge as (min, max), so one sort over its presorted runs makes the
 edges canonical, and the top-level blocks are slices of the predicted
-traversal.  ``verify_witness`` returns its four verdicts by name, and
-``predicates.block_verdicts`` checks the blocks in O(n) beside the search;
+traversal.  ``verify_witness`` returns its four verdicts by name; its
+private helper ``predicates._block_verdicts`` checks the blocks in O(n);
 ``format_manifest`` yields the certificate in pieces, the graph's as
 ``graph.serialize`` makes them and one format for each other line.  The
 envelope (``MAX_M``, ``MAX_N``, ``MAX_K``) bounds the builds;
@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from .graph import OrderedGraph, Traversal, serialize
 from .ordinal import OMEGA, Ordinal, zeta
-from .predicates import block_verdicts
+from .predicates import _block_verdicts
 from .search import deterministic_search
 
 MAX_M = 3
@@ -170,13 +170,13 @@ def build_zeta_witness(m: int, n: int, k: int) -> WitnessBuild:
 def verify_witness(build: WitnessBuild) -> dict[str, bool]:
     """The build's four certificate verdicts by name, in CLI order, against
     an actual search run: the search output is the prediction, the blocks
-    pass ``predicates.block_verdicts``, and the block profile and nesting
+    pass ``predicates._block_verdicts``, and the block profile and nesting
     depth are the ones (m, n, k) asks for."""
     run = deterministic_search(build.graph, 0)
     blocks = build.blocks
     return {
         "predicted-traversal": run.visit_order == build.predicted,
-        **block_verdicts(run, blocks),
+        **_block_verdicts(run, blocks),
         "zeta-profile": len(blocks) == _top_block_count(build.m, build.n, build.k)
         and len(set(map(len, blocks))) == 1
         and build.nesting_depth == build.m,

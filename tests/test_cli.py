@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from unittest import mock
@@ -923,20 +924,26 @@ class TestCachedParser:
         monkeypatch.setenv("COLUMNS", "80")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        for template in self.ARGVS:
-            argv = [arg.format(six=six_file) for arg in template]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            fresh = subprocess.run(
+        argvs = [[arg.format(six=six_file) for arg in template] for template in self.ARGVS]
+
+        def fresh(argv):
+            done = subprocess.run(
                 [sys.executable, "-m", "ordsearch.cli", *argv],
                 capture_output=True, text=True, env=env, timeout=60,
             )
-            assert (code, captured.out, captured.err) == (
-                fresh.returncode, fresh.stdout, fresh.stderr
-            ), argv
+            return done.returncode, done.stdout, done.stderr
+
+        # The fresh processes run while main answers in this one: one per
+        # argv, at most one per CPU and never more than eight at once.
+        with ThreadPoolExecutor(min(os.cpu_count() or 1, 8)) as pool:
+            expected = pool.map(fresh, argvs)
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == next(expected), argv
 
     def test_kernel_is_looked_up_when_the_command_runs(self, capsys, monkeypatch, six_file):
         assert run(capsys, "bfs", six_file) == (0, "0 1 5 2 3 4\n", "")

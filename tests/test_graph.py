@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DigestSink, complete_graph, cycle_graph, path_graph, text_digest
+from conftest import DigestSink, complete_graph, path_graph, text_digest
 from ordsearch.graph import (
     EDGES_PER_PIECE,
     MAX_RANDOM_EDGES,
@@ -132,40 +132,6 @@ class TestReach:
             free.add_edges_from(edges)
             expected = nx.node_connected_component(free, start)
             assert reach(g, start) == bytearray(v in expected for v in range(n))
-
-
-def component_excluding(g, v, removed):
-    """The component of v once ``removed`` is deleted: reach from v in the
-    subgraph the other vertices induce."""
-    sub, kept = induced_subgraph(g, [u for u in range(g.vertex_count) if u != removed])
-    marks = reach(sub, kept.index(v))
-    return {u for i, u in enumerate(kept) if marks[i]}
-
-
-class TestComponentExcluding:
-    def test_six_cycle_tail(self, six_cycle_tail):
-        assert component_excluding(six_cycle_tail, 0, 5) == {0, 1, 2, 4}
-
-    def test_path_split(self):
-        assert component_excluding(path_graph(3), 0, 1) == {0}
-
-    def test_triangle(self):
-        assert component_excluding(cycle_graph(3), 0, 2) == {0, 1}
-
-    def test_partitions_remainder(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            g = random_connected_graph(rng.randint(2, 12), 0.3, rng.randint(0, 999))
-            removed = rng.randrange(g.vertex_count)
-            rest = [v for v in range(g.vertex_count) if v != removed]
-            parts = []
-            while rest:
-                comp = component_excluding(g, rest[0], removed)
-                parts.append(comp)
-                rest = [v for v in rest if v not in comp]
-            union = set().union(*parts)
-            assert union == set(range(g.vertex_count)) - {removed}
-            assert sum(len(p) for p in parts) == len(union)
 
 
 class TestInducedSubgraph:

@@ -286,13 +286,6 @@ class TestAltSearch:
         g = cycle_graph(3)
         assert alt_search_with_counts(g)[0] == deterministic_search(g).visit_order
 
-    def test_agrees_with_search_on_random_graphs(self):
-        rng = random.Random(27)
-        for _ in range(80):
-            g = random_connected_graph(rng.randint(1, 12), 0.35, rng.randint(0, 9999))
-            start = rng.randrange(g.vertex_count)
-            assert alt_search_with_counts(g, start)[0] == deterministic_search(g, start).visit_order
-
     def test_long_path_needs_no_recursion(self):
         # the split chain has depth ~n here, far past the interpreter's
         # default recursion limit
@@ -435,13 +428,16 @@ def _random_tree(n, seed):
 
 class TestAltAgainstRescanning:
     """The component-tree kernel against the rescanning reference: the same
-    order and the same counters."""
+    order and the same counters.  The large cases use the O(n) references
+    instead, which the exhaustive test checks against rescanning."""
 
     def test_every_connected_graph_to_five_vertices_from_every_start(self):
         for n in range(1, 6):
             for g in all_connected_graphs(n):
                 for start in range(n):
-                    assert alt_search_with_counts(g, start) == rescanning_alt(g, start), (g, start)
+                    expected = rescanning_alt(g, start)
+                    assert alt_search_with_counts(g, start) == expected, (g, start)
+                    assert max_cartesian_split_sum(expected[0]) == expected[1]["scanned"], (g, start)
 
     @settings(max_examples=400, deadline=None)
     @given(connected_graphs_with_start())
@@ -464,7 +460,9 @@ class TestAltAgainstRescanning:
     )
     def test_large_graphs(self, g, starts):
         for start in starts:
-            assert alt_search_with_counts(g, start) == rescanning_alt(g, start), start
+            order = deterministic_search(g, start).visit_order
+            expected = {"splits": g.vertex_count - 1, "scanned": max_cartesian_split_sum(order)}
+            assert alt_search_with_counts(g, start) == (order, expected), start
 
 
 class TestLeastNeighborMap:
@@ -586,56 +584,8 @@ class TestTraversalTree:
 
 
 class TestFixedPointLaws:
-    def test_search_fixes_traversals(self):
-        rng = random.Random(33)
-        checked = 0
-        for _ in range(120):
-            g = random_connected_graph(rng.randint(1, 12), 0.5, rng.randint(0, 9999))
-            identity = tuple(range(g.vertex_count))
-            if is_traversal(g, identity):
-                assert deterministic_search(g).visit_order == identity
-                checked += 1
-        assert checked > 20
-
-    def test_idempotent(self):
-        rng = random.Random(35)
-        for _ in range(60):
-            g = random_connected_graph(rng.randint(1, 14), 0.35, rng.randint(0, 9999))
-            tau = deterministic_search(g).visit_order
-            assert deterministic_search(relabel(g, tau)).visit_order == tuple(
-                range(g.vertex_count)
-            )
-
-    def test_bfs_fixed_by_search(self):
-        rng = random.Random(37)
-        for _ in range(60):
-            g = random_connected_graph(rng.randint(1, 14), 0.35, rng.randint(0, 9999))
-            beta = bfs_search(g).visit_order
-            assert deterministic_search(relabel(g, beta)).visit_order == tuple(
-                range(g.vertex_count)
-            )
-
-    def test_search_tree_retraversal(self):
-        rng = random.Random(39)
-        for _ in range(60):
-            g = random_connected_graph(rng.randint(1, 14), 0.4, rng.randint(0, 9999))
-            tau = deterministic_search(g).visit_order
-            assert deterministic_search(traversal_tree(g, tau)).visit_order == tau
-
-    def test_bfs_tree_retraversal(self):
-        rng = random.Random(41)
-        for _ in range(60):
-            g = random_connected_graph(rng.randint(1, 14), 0.4, rng.randint(0, 9999))
-            beta = bfs_search(g).visit_order
-            assert bfs_search(traversal_tree(g, beta)).visit_order == beta
-
-    def test_bfs_after_search_differs_on_witness(self, six_cycle_tail):
-        beta = bfs_search(six_cycle_tail).visit_order
-        tau = deterministic_search(six_cycle_tail).visit_order
-        after = tuple(tau[v] for v in bfs_search(relabel(six_cycle_tail, tau)).visit_order)
-        assert beta == (0, 1, 5, 2, 3, 4)
-        assert after == (0, 1, 5, 2, 4, 3)
-        assert beta != after
+    # The five laws themselves are criterion 5's, on 5,000 random graphs,
+    # and the golden relabel-then-BFS composition is criterion 1's.
 
     def test_visit_orders_are_decreasing_traversals(self):
         rng = random.Random(43)

@@ -7,7 +7,7 @@ from conftest import DigestSink, path_graph, star_graph
 from ordsearch.acceptance import _witness_grid
 from ordsearch.graph import OrderedGraph
 from ordsearch.ordinal import Ordinal
-from ordsearch.predicates import block_verdicts, level_decomposition, verify_quotient_stability
+from ordsearch.predicates import _block_verdicts, level_decomposition, verify_quotient_stability
 from ordsearch.search import bfs_search, deterministic_search
 from ordsearch.witness import (
     WitnessBuild,
@@ -139,7 +139,7 @@ class TestBlockVerdicts:
     def test_malformed_blocks(self):
         run = deterministic_search(build_zeta_witness(1, 1, 2).graph)
         for blocks, verdicts in MALFORMED_BLOCKS:
-            assert block_verdicts(run, blocks) == {
+            assert _block_verdicts(run, blocks) == {
                 "block-intervals": verdicts[1],
                 "quotient-stability": verdicts[2],
             }, blocks
@@ -147,11 +147,11 @@ class TestBlockVerdicts:
     def test_anchor_heads_its_block(self):
         # The same members, in the same place, with another member first.
         run = deterministic_search(build_zeta_witness(1, 1, 2).graph)
-        assert block_verdicts(run, ((0, 1, 3), (5, 2, 4))) == {
+        assert _block_verdicts(run, ((0, 1, 3), (5, 2, 4))) == {
             "block-intervals": True,
             "quotient-stability": True,
         }
-        assert block_verdicts(run, ((1, 0, 3), (5, 2, 4))) == {
+        assert _block_verdicts(run, ((1, 0, 3), (5, 2, 4))) == {
             "block-intervals": False,
             "quotient-stability": True,
         }
