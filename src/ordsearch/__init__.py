@@ -27,8 +27,10 @@ from .predicates import (
     is_traversal,
     level_decomposition,
     verify_colex_max,
+    verify_identities,
     verify_lex_min,
     verify_quotient_stability,
+    verify_stability,
     verify_subset_stability,
 )
 from .search import (

@@ -21,13 +21,15 @@ from typing import Callable, Iterable, Iterator
 from .graph import OrderedGraph, random_connected_graph, relabel
 from .ordinal import ONE, OMEGA, Ordinal, cofinality, fundamental_sequence, omega_power, omega_quot_rem, zeta
 from .predicates import (
+    _bfs_after_search,
     closure_samples,
     is_breadth_first,
     is_traversal,
     level_decomposition,
-    verify_subset_stability,
+    verify_identities,
+    verify_stability,
 )
-from .search import alt_search_with_counts, bfs_search, deterministic_search, traversal_tree
+from .search import alt_search_with_counts, bfs_search, deterministic_search
 from .witness import build_bfs_tree_witness, build_zeta_witness, verify_witness
 
 SIX_CYCLE_TAIL = OrderedGraph(6, ((0, 1), (1, 2), (2, 4), (4, 5), (5, 0), (3, 5)))
@@ -167,14 +169,13 @@ def _local_quot_rem(a: Ordinal) -> tuple[Ordinal, int]:
 
 def criterion_golden_triple() -> None:
     """Exact search and breadth-first outputs on the 6-vertex cycle-and-tail
-    graph, including the relabel-then-search composition."""
+    graph, and BFS after search as ``verify_identities``'s note composes it."""
     g = SIX_CYCLE_TAIL
     beta = bfs_search(g).visit_order
     tau = deterministic_search(g).visit_order
     assert beta == (0, 1, 5, 2, 3, 4), beta
     assert tau == (0, 1, 2, 4, 5, 3), tau
-    replayed = bfs_search(relabel(g, tau)).visit_order
-    mapped_back = tuple(tau[v] for v in replayed)
+    mapped_back = _bfs_after_search(tau, relabel(g, tau))
     assert mapped_back == (0, 1, 5, 2, 4, 3), mapped_back
 
 
@@ -254,38 +255,32 @@ def criterion_alt_equivalence() -> None:
 
 
 def criterion_fixed_point_laws() -> None:
-    """Search fixes traversals, is idempotent, fixes breadth-first outputs,
-    and both tree retraversal laws hold, on 5,000 random connected graphs;
-    the identity order is a traversal of 2,645 of them."""
+    """The five fixed-point laws of ``verify_identities`` hold on 5,000
+    random connected graphs; the identity order is a traversal of 2,645 of
+    them."""
     rng = random.Random(505)
     fixed = 0
     for _ in range(5_000):
         g = random_connected_graph(rng.randint(1, 20), rng.uniform(0.1, 0.9), rng.randrange(1 << 30))
-        identity = tuple(range(g.vertex_count))
-        tau = deterministic_search(g).visit_order
-        beta = bfs_search(g).visit_order
-        if is_traversal(g, identity):
-            assert tau == identity
-            fixed += 1
-        assert deterministic_search(relabel(g, tau)).visit_order == identity
-        assert deterministic_search(relabel(g, beta)).visit_order == identity
-        assert deterministic_search(traversal_tree(g, tau)).visit_order == tau
-        assert bfs_search(traversal_tree(g, beta)).visit_order == beta
+        verdicts, notes = verify_identities(g)
+        assert all(verdicts.values()), (g, verdicts)
+        fixed += "search-fixes-traversals" not in notes
     assert fixed == 2_645, fixed
 
 
 def criterion_stability() -> None:
-    """Subset stability on 10,000 sampled parent-closed sets.  Quotient
-    stability on every witness block partition is criterion 7's
+    """``verify_stability`` passes on 10,000 sampled parent-closed sets.
+    Quotient stability on every witness block partition is criterion 7's
     "quotient-stability" verdict, on the same runs and blocks."""
     rng = random.Random(606)
     total = 0
     while total < 10_000:
         g = random_connected_graph(rng.randint(2, 12), rng.uniform(0.15, 0.8), rng.randrange(1 << 30))
         run = deterministic_search(g)
-        for w in closure_samples(run, rng.randrange(1 << 30), 25):
-            assert verify_subset_stability(run, w), (g, w)
-            total += 1
+        sets = closure_samples(run, rng.randrange(1 << 30), 25)
+        verdicts, _ = verify_stability(run, sets)
+        assert all(verdicts.values()), (g, verdicts)
+        total += len(sets)
 
 
 def _witness_grid() -> Iterator[tuple[int, int, int]]:

@@ -26,17 +26,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 
 from .graph import (
     NotATraversalError,
     OrderedGraph,
-    Traversal,
     deserialize,
     dot_export,
     random_connected_graph,
-    relabel,
     serialize,
 )
 from .ordinal import Ordinal, zeta
@@ -47,16 +44,11 @@ from .predicates import (
     is_depth_first,
     is_traversal,
     verify_colex_max,
+    verify_identities,
     verify_lex_min,
-    verify_quotient_stability,
-    verify_subset_stability,
+    verify_stability,
 )
-from .search import (
-    alt_search_with_counts,
-    bfs_search,
-    deterministic_search,
-    traversal_tree,
-)
+from .search import alt_search_with_counts, bfs_search, deterministic_search, traversal_tree
 from .witness import build_zeta_witness, format_manifest, verify_witness
 
 
@@ -72,14 +64,16 @@ def _fmt(order) -> str:
 
 
 def _report(verdicts: dict[str, bool], notes: dict[str, str] | None = None) -> int:
-    """Print one ``name: PASS|FAIL [note]`` line per verdict, in order; 1 if
-    any verdict failed, else 0."""
+    """Print one ``name: PASS|FAIL [note]`` line per verdict, in order, then
+    one ``note: <note>`` line per note keyed by no verdict; 1 if any verdict
+    failed, else 0."""
     notes = notes or {}
     for name, ok in verdicts.items():
         line = f"{name}: {'PASS' if ok else 'FAIL'}"
         if name in notes:
             line += f" [{notes[name]}]"
         print(line)
+    sys.stdout.writelines(f"note: {note}\n" for key, note in notes.items() if key not in verdicts)
     return 0 if all(verdicts.values()) else 1
 
 
@@ -137,12 +131,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _bfs_after_search(tau: Traversal, relabeled: OrderedGraph) -> Traversal:
-    """Breadth-first order of a graph relabeled by its search order tau,
-    mapped back to the graph's own vertex numbers."""
-    return tuple(tau[v] for v in bfs_search(relabeled).visit_order)
-
-
 def _cmd_verify(args) -> int:
     if args.probes < 0:
         raise ValueError("--probes must be >= 0")
@@ -153,49 +141,8 @@ def _cmd_verify(args) -> int:
         return _report(verify_colex_max(g))
     if args.suite == "stability":
         run = deterministic_search(g)
-        sets = closure_samples(run, args.seed, 12)
-        singletons = [{v} for v in range(g.vertex_count)]
-        whole = [set(range(g.vertex_count))]
-        return _report(
-            {
-                "subset-stability": all(verify_subset_stability(run, w) for w in sets),
-                "quotient-stability-singletons": verify_quotient_stability(run, singletons),
-                "quotient-stability-whole": verify_quotient_stability(run, whole),
-            },
-            {"subset-stability": f"{len(sets)} closed sets"},
-        )
-    identity = tuple(range(g.vertex_count))
-    tau = deterministic_search(g).visit_order
-    beta = bfs_search(g).visit_order
-    relabeled = relabel(g, tau)
-    vacuous = not is_traversal(g, identity)
-    code = _report(
-        {
-            "search-fixes-traversals": vacuous or tau == identity,
-            "idempotent": deterministic_search(relabeled).visit_order == identity,
-            "bfs-fixed-by-search": deterministic_search(relabel(g, beta)).visit_order == identity,
-            "search-tree-retraversal": deterministic_search(traversal_tree(g, tau)).visit_order == tau,
-            "bfs-tree-retraversal": bfs_search(traversal_tree(g, beta)).visit_order == beta,
-        },
-        {"search-fixes-traversals": "vacuous: input order is not a traversal"} if vacuous else None,
-    )
-    after = _bfs_after_search(tau, relabeled)
-    print(f"note: bfs-after-search equals bfs on this input: {'yes' if after == beta else 'no'}")
-    if args.probes:
-        rng = random.Random(args.seed)
-        differed = 0
-        for _ in range(args.probes):
-            perm = list(range(g.vertex_count))
-            rng.shuffle(perm)
-            h = relabel(g, perm)
-            tau_h = deterministic_search(h).visit_order
-            if _bfs_after_search(tau_h, relabel(h, tau_h)) != bfs_search(h).visit_order:
-                differed += 1
-        print(
-            f"note: bfs-after-search differed from bfs on {differed} of "
-            f"{args.probes} probed orders"
-        )
-    return code
+        return _report(*verify_stability(run, closure_samples(run, args.seed, 12)))
+    return _report(*verify_identities(g, args.probes, args.seed))
 
 
 def _cmd_witness(args) -> int:
@@ -205,8 +152,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    value = zeta(Ordinal.parse(args.ordinal))
-    print(value)
+    print(zeta(Ordinal.parse(args.ordinal)))
     return 0
 
 

@@ -40,6 +40,9 @@ they come, holding no order; ``verify_colex_max`` folds one integer colex
 key per order and takes their maximum in O(n) memory.  ``verify_lex_min``
 has no vertex cap; it builds each least order directly (``_least_order``),
 taking the least candidate at each position, in O((n+m) log n).
+
+``verify_stability`` and ``verify_identities`` are ``verify``'s stability
+and identities suites, verdicts and notes, which criteria 6 and 5 assert.
 """
 
 from __future__ import annotations
@@ -61,10 +64,14 @@ from .graph import (
     induced_subgraph,
     invert_permutation,
     reach,
+    relabel,
 )
-from .search import SearchTrace, bfs_search, deterministic_search, least_neighbor_map
+from .search import SearchTrace, bfs_search, deterministic_search, least_neighbor_map, traversal_tree
 
 KINDS = ("all", "breadth_first", "depth_first")
+
+# A verdict suite's verdicts by name and its notes, as ``verify`` prints them.
+Report = tuple[dict[str, bool], dict[str, str]]
 
 
 @dataclass(frozen=True)
@@ -449,6 +456,56 @@ def verify_quotient_stability(run: SearchTrace, parts: Sequence[Iterable[int]]) 
         raise ValueError("parts do not partition the vertex set")
     block_of, _, anchors = partition
     return _quotient_stable(run, parts, block_of, anchors)
+
+
+def verify_stability(run: SearchTrace, sets: Sequence[Iterable[int]]) -> Report:
+    """Verdicts by name and notes, as ``verify --suite stability`` prints
+    them: subset stability on each of the parent-closed sets, and quotient
+    stability on the partitions into singletons and into one part."""
+    n = run.graph.vertex_count
+    return {
+        "subset-stability": all(verify_subset_stability(run, w) for w in sets),
+        "quotient-stability-singletons": verify_quotient_stability(run, [(v,) for v in range(n)]),
+        "quotient-stability-whole": verify_quotient_stability(run, [range(n)]),
+    }, {"subset-stability": f"{len(sets)} closed sets"}
+
+
+def _bfs_after_search(tau: Traversal, relabeled: OrderedGraph) -> Traversal:
+    """BFS of a graph relabeled by its search order tau, mapped back."""
+    return tuple(tau[v] for v in bfs_search(relabeled).visit_order)
+
+
+def verify_identities(g: OrderedGraph, probes: int = 0, seed: int = 0) -> Report:
+    """Verdicts by name and notes, as ``verify --suite identities`` prints
+    them: the five fixed-point laws of search, and whether breadth-first
+    search after search is breadth-first search, on g and on ``probes``
+    seeded relabelings of g."""
+    identity = tuple(range(g.vertex_count))
+    tau = deterministic_search(g).visit_order
+    beta = bfs_search(g).visit_order
+    relabeled = relabel(g, tau)
+    vacuous = not is_traversal(g, identity)
+    verdicts = {
+        "search-fixes-traversals": vacuous or tau == identity,
+        "idempotent": deterministic_search(relabeled).visit_order == identity,
+        "bfs-fixed-by-search": deterministic_search(relabel(g, beta)).visit_order == identity,
+        "search-tree-retraversal": deterministic_search(traversal_tree(g, tau)).visit_order == tau,
+        "bfs-tree-retraversal": bfs_search(traversal_tree(g, beta)).visit_order == beta,
+    }
+    notes = {"search-fixes-traversals": "vacuous: input order is not a traversal"} if vacuous else {}
+    same = _bfs_after_search(tau, relabeled) == beta
+    notes["bfs-after-search"] = f"bfs-after-search equals bfs on this input: {'yes' if same else 'no'}"
+    if probes:
+        rng = random.Random(seed)
+        differed = 0
+        for _ in range(probes):
+            perm = list(identity)
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            tau_h = deterministic_search(h).visit_order
+            differed += _bfs_after_search(tau_h, relabel(h, tau_h)) != bfs_search(h).visit_order
+        notes["probes"] = f"bfs-after-search differed from bfs on {differed} of {probes} probed orders"
+    return verdicts, notes
 
 
 def _block_verdicts(run: SearchTrace, blocks: Sequence[Sequence[int]]) -> dict[str, bool]:

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import dispatch_corpus
 from conftest import DigestSink, text_digest
-from ordsearch import acceptance, cli, predicates, search, witness
+from ordsearch import acceptance, cli, graph, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
@@ -316,35 +317,10 @@ def test_lexmin_takes_linearithmic_time(capsys, tmp_path):
 
 
 def test_enumerate_streams_its_output(monkeypatch):
-    # Writing the output adds under 1 MB to the walk's own peak; joining
-    # the 40,320 lines first would add about 3 MB.
-    text = complete_graph_text(8)
-    g = deserialize(text)
-    tracemalloc.start()
-    try:
-        predicates.enumerate_traversals(g, "all")
-        _, walk_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    sink = DigestSink()
-    tracemalloc.start()
-    try:
-        with redirect_stdout(sink):
-            code = main(["enumerate", "-", "--kind", "all"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < walk_peak + 2**20
-    orders = predicates.enumerate_traversals(g, "all").orders
-    expected = "".join(" ".join(map(str, o)) + "\n" for o in orders).encode()
-    assert (sink.digest.hexdigest(), sink.size) == (hashlib.sha256(expected).hexdigest(), len(expected))
-
-
-def test_enumerate_holds_no_orders(monkeypatch):
-    # Each line is made by the walk as it is written.  Holding K_8's 40,320
-    # orders as tuples would take about 5 MB.
+    # Every order of K_8 is a traversal, and the walk lists them in lex
+    # order, as itertools.permutations does.  Each line is made by the walk
+    # as it is written: holding the 40,320 orders as tuples would take about
+    # 5 MB, and joining their lines first about 3 MB.
     monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph_text(8)))
     sink = DigestSink()
     tracemalloc.start()
@@ -354,7 +330,8 @@ def test_enumerate_holds_no_orders(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (code, sink.size) == (0, 40_320 * 16)
+    expected = text_digest(" ".join(map(str, p)) + "\n" for p in itertools.permutations(range(8)))
+    assert (code, sink.digest.hexdigest(), sink.size) == (0, *expected)
     assert peak < 2**20
 
 
@@ -536,10 +513,22 @@ WITNESS_112 = (
     "block: anchor=0 members=0 1 3\n"
     "block: anchor=5 members=5 2 4\n"
 )
+SIX_SEARCH, SIX_BFS = (0, 1, 2, 4, 5, 3), (0, 1, 5, 2, 3, 4)
+SIX_PATH = deserialize("n 6\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
+# The identities suite's stdout on the six-vertex example, given each
+# verdict's result; 0..5 is no traversal there, so the first is vacuous.
 IDENTITY_LINES = (
-    "idempotent: PASS\nbfs-fixed-by-search: PASS\nsearch-tree-retraversal: PASS\n"
-    "bfs-tree-retraversal: PASS\nnote: bfs-after-search equals bfs on this input: no\n"
+    "search-fixes-traversals: {}\nidempotent: {}\nbfs-fixed-by-search: {}\n"
+    "search-tree-retraversal: {}\nbfs-tree-retraversal: {}\n"
+    "note: bfs-after-search equals bfs on this input: no\n"
 )
+VACUOUS = "PASS [vacuous: input order is not a traversal]"
+
+
+def _wrong_at(real, order, wrong):
+    """A stand-in for ``real(g, order)`` that answers ``wrong(g)`` for this
+    one order, and as ``real`` for any other."""
+    return lambda g, o: wrong(g) if o == order else real(g, o)
 
 
 def _reversed_prediction(m, n, k):
@@ -548,8 +537,10 @@ def _reversed_prediction(m, n, k):
 
 
 # Every shape of verdict output: argv after the graph file (None: no graph),
-# the cli attribute patched and its stand-in, the exit code and the whole
-# stdout.
+# the module, attribute and stand-in patched, the exit code and the whole
+# stdout.  Each stability and identities verdict has a case where the one
+# library call it reads is wrong, so a verdict that always passed would
+# show.
 VERDICT_OUTPUTS = {
     "lexmin": (
         ["verify", "--suite", "lexmin"], None, 0,
@@ -557,13 +548,13 @@ VERDICT_OUTPUTS = {
     ),
     "lexmin-fail": (
         ["verify", "--suite", "lexmin"],
-        ("verify_lex_min", lambda g: {"lex-min-traversal": False, "lex-min-breadth-first": True}),
+        (cli, "verify_lex_min", lambda g: {"lex-min-traversal": False, "lex-min-breadth-first": True}),
         1, "lex-min-traversal: FAIL\nlex-min-breadth-first: PASS\n",
     ),
     "colexmax": (["verify", "--suite", "colexmax"], None, 0, "colex-max-inverse: PASS\n"),
     "colexmax-fail": (
         ["verify", "--suite", "colexmax"],
-        ("verify_colex_max", lambda g: {"colex-max-inverse": False}),
+        (cli, "verify_colex_max", lambda g: {"colex-max-inverse": False}),
         1, "colex-max-inverse: FAIL\n",
     ),
     "stability": (
@@ -573,25 +564,63 @@ VERDICT_OUTPUTS = {
     ),
     "stability-fail": (
         ["verify", "--suite", "stability"],
-        ("verify_subset_stability", lambda run, w: False),
+        (predicates, "verify_subset_stability", lambda run, w: False),
         1,
         "subset-stability: FAIL [12 closed sets]\nquotient-stability-singletons: PASS\n"
         "quotient-stability-whole: PASS\n",
     ),
+    "stability-singletons-fail": (
+        ["verify", "--suite", "stability"],
+        (predicates, "verify_quotient_stability", lambda run, parts: len(parts) == 1),
+        1,
+        "subset-stability: PASS [12 closed sets]\nquotient-stability-singletons: FAIL\n"
+        "quotient-stability-whole: PASS\n",
+    ),
+    "stability-whole-fail": (
+        ["verify", "--suite", "stability"],
+        (predicates, "verify_quotient_stability", lambda run, parts: len(parts) > 1),
+        1,
+        "subset-stability: PASS [12 closed sets]\nquotient-stability-singletons: PASS\n"
+        "quotient-stability-whole: FAIL\n",
+    ),
     "identities": (
         ["verify", "--suite", "identities"], None, 0,
-        "search-fixes-traversals: PASS [vacuous: input order is not a traversal]\n" + IDENTITY_LINES,
+        IDENTITY_LINES.format(VACUOUS, "PASS", "PASS", "PASS", "PASS"),
     ),
     "identities-probes": (
         ["verify", "--suite", "identities", "--probes", "5", "--seed", "1"], None, 0,
-        "search-fixes-traversals: PASS [vacuous: input order is not a traversal]\n" + IDENTITY_LINES
+        IDENTITY_LINES.format(VACUOUS, "PASS", "PASS", "PASS", "PASS")
         + "note: bfs-after-search differed from bfs on 0 of 5 probed orders\n",
     ),
     # The input order 0..5 is no traversal; called one, search must fix it.
     "identities-fail": (
         ["verify", "--suite", "identities"],
-        ("is_traversal", lambda g, order: True),
-        1, "search-fixes-traversals: FAIL\n" + IDENTITY_LINES,
+        (predicates, "is_traversal", lambda g, order: True),
+        1, IDENTITY_LINES.format("FAIL", "PASS", "PASS", "PASS", "PASS"),
+    ),
+    # A relabeling by the search order that keeps the input's numbers: its
+    # search is the input's, not the identity.
+    "idempotent-fail": (
+        ["verify", "--suite", "identities"],
+        (predicates, "relabel", _wrong_at(graph.relabel, SIX_SEARCH, lambda g: g)),
+        1, IDENTITY_LINES.format(VACUOUS, "FAIL", "PASS", "PASS", "PASS"),
+    ),
+    "bfs-fixed-by-search-fail": (
+        ["verify", "--suite", "identities"],
+        (predicates, "relabel", _wrong_at(graph.relabel, SIX_BFS, lambda g: g)),
+        1, IDENTITY_LINES.format(VACUOUS, "PASS", "FAIL", "PASS", "PASS"),
+    ),
+    # The path 0-1-2-3-4-5 as either run's tree: both searches list it as
+    # 0..5.
+    "search-tree-retraversal-fail": (
+        ["verify", "--suite", "identities"],
+        (predicates, "traversal_tree", _wrong_at(search.traversal_tree, SIX_SEARCH, lambda g: SIX_PATH)),
+        1, IDENTITY_LINES.format(VACUOUS, "PASS", "PASS", "FAIL", "PASS"),
+    ),
+    "bfs-tree-retraversal-fail": (
+        ["verify", "--suite", "identities"],
+        (predicates, "traversal_tree", _wrong_at(search.traversal_tree, SIX_BFS, lambda g: SIX_PATH)),
+        1, IDENTITY_LINES.format(VACUOUS, "PASS", "PASS", "PASS", "FAIL"),
     ),
     "traversal-pass": (["check", "--order", *"0 1 5 2 3 4".split(), "--kind", "traversal"], None, 0, "traversal: PASS\n"),
     "traversal-fail": (["check", "--order", *"0 2 1 4 5 3".split(), "--kind", "traversal"], None, 1, "traversal: FAIL\n"),
@@ -613,7 +642,7 @@ VERDICT_OUTPUTS = {
         + "predicted-traversal: PASS\nblock-intervals: PASS\nquotient-stability: PASS\nzeta-profile: PASS\n",
     ),
     "witness-fail": (
-        None, ("build_zeta_witness", _reversed_prediction), 1,
+        None, (cli, "build_zeta_witness", _reversed_prediction), 1,
         WITNESS_112.format("4 2 5 3 1 0")
         + "predicted-traversal: FAIL\nblock-intervals: PASS\nquotient-stability: PASS\nzeta-profile: PASS\n",
     ),
@@ -624,7 +653,7 @@ VERDICT_OUTPUTS = {
 def test_verdict_output_is_pinned(capsys, monkeypatch, six_file, case):
     argv, patch, code, out = VERDICT_OUTPUTS[case]
     if patch is not None:
-        monkeypatch.setattr(cli, *patch)
+        monkeypatch.setattr(*patch)
     if argv is None:
         argv = ["witness", "--m", "1", "--n", "1", "--k", "2", "--verify"]
     else:
