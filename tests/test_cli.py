@@ -316,22 +316,37 @@ def test_lexmin_takes_linearithmic_time(capsys, tmp_path):
     assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
 
 
-def test_enumerate_streams_its_output(monkeypatch):
-    # Every order of K_8 is a traversal, and the walk lists them in lex
-    # order, as itertools.permutations does.  Each line is made by the walk
-    # as it is written: holding the 40,320 orders as tuples would take about
-    # 5 MB, and joining their lines first about 3 MB.
-    monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph_text(8)))
+@pytest.fixture(scope="module")
+def k8_enumerate_run():
+    """One ``enumerate - --kind all`` run on K_8 under tracemalloc: its exit
+    code, the sha256 and size of its stdout, and its peak."""
     sink = DigestSink()
-    tracemalloc.start()
-    try:
-        with redirect_stdout(sink):
-            code = main(["enumerate", "-", "--kind", "all"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(complete_graph_text(8)))
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(["enumerate", "-", "--kind", "all"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return code, sink.digest.hexdigest(), sink.size, peak
+
+
+def test_enumerate_streams_its_output(k8_enumerate_run):
+    # Every order of K_8 is a traversal, and the walk lists them in lex
+    # order, as itertools.permutations does.
+    code, digest, size, _ = k8_enumerate_run
     expected = text_digest(" ".join(map(str, p)) + "\n" for p in itertools.permutations(range(8)))
-    assert (code, sink.digest.hexdigest(), sink.size) == (0, *expected)
+    assert (code, digest, size) == (0, *expected)
+
+
+def test_enumerate_holds_no_orders(k8_enumerate_run):
+    # Each line is made by the walk as it is written: holding the 40,320
+    # orders as tuples would take about 5 MB, and joining their lines first
+    # about 3 MB.
+    code, _, _, peak = k8_enumerate_run
+    assert code == 0
     assert peak < 2**20
 
 
