@@ -479,7 +479,9 @@ def verify_identities(g: OrderedGraph, probes: int = 0, seed: int = 0) -> Report
     """Verdicts by name and notes, as ``verify --suite identities`` prints
     them: the five fixed-point laws of search, and whether breadth-first
     search after search is breadth-first search, on g and on ``probes``
-    seeded relabelings of g."""
+    seeded relabelings of g.  A negative ``probes`` is a ``ValueError``."""
+    if probes < 0:
+        raise ValueError(f"probes must be >= 0, not {probes}")
     identity = tuple(range(g.vertex_count))
     tau = deterministic_search(g).visit_order
     beta = bfs_search(g).visit_order

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from ordsearch.acceptance import _prefix_connected, graph_from_adjacency, iter_connected_adjacency
+from ordsearch.acceptance import SIX_CYCLE_TAIL, _prefix_connected, graph_from_adjacency, iter_connected_adjacency
 from ordsearch.graph import OrderedGraph
 
 
@@ -92,4 +92,4 @@ def random_traversal(g, rng):
 def six_cycle_tail() -> OrderedGraph:
     """The 6-vertex graph used throughout: the 5-cycle 0-1-2-4-5-0 with the
     extra vertex 3 hanging off 5."""
-    return OrderedGraph(6, ((0, 1), (1, 2), (2, 4), (4, 5), (5, 0), (3, 5)))
+    return SIX_CYCLE_TAIL

@@ -18,13 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import dispatch_corpus
 from conftest import DigestSink, text_digest
+from dispatch_corpus import SIX
 from ordsearch import acceptance, cli, graph, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
 from ordsearch.witness import build_zeta_witness, format_manifest
-
-SIX = "n 6\ne 0 1\ne 1 2\ne 2 4\ne 4 5\ne 5 0\ne 3 5\n"
 
 
 @pytest.fixture
@@ -163,36 +162,6 @@ class TestTree:
 
 
 class TestCheck:
-    def test_traversal_fail(self, capsys, six_file):
-        code, out, _ = run(capsys, "check", six_file, "--order", "0", "2", "1", "4", "5", "3",
-                           "--kind", "traversal")
-        assert code == 1
-        assert out == "traversal: FAIL\n"
-
-    def test_traversal_pass(self, capsys, six_file):
-        code, out, _ = run(capsys, "check", six_file, "--order", "0", "1", "5", "2", "3", "4",
-                           "--kind", "traversal")
-        assert code == 0
-        assert out == "traversal: PASS\n"
-
-    def test_bfs_kind(self, capsys, six_file):
-        code, out, _ = run(capsys, "check", six_file, "--order", "0", "1", "5", "2", "3", "4",
-                           "--kind", "bfs")
-        assert code == 0
-        assert out == "breadth-first: PASS\n"
-
-    def test_bfs_kind_on_search_output(self, capsys, six_file):
-        code, out, _ = run(capsys, "check", six_file, "--order", "0", "1", "2", "4", "5", "3",
-                           "--kind", "bfs")
-        assert code == 1
-        assert out == "breadth-first: FAIL\n"
-
-    def test_non_traversal_noted(self, capsys, six_file):
-        for kind, name in (("bfs", "breadth-first"), ("dfs", "depth-first")):
-            code, out, err = run(capsys, "check", six_file, "--order", "0", "2", "1", "4", "5", "3",
-                                 "--kind", kind)
-            assert (code, out, err) == (1, f"{name}: FAIL [not a traversal]\n", "")
-
     @pytest.mark.parametrize("kind", ["traversal", "bfs", "dfs"])
     @pytest.mark.parametrize("order", [["0", "5"], ["0", "0", "7"]])
     def test_order_outside_the_vertices_is_input_error(self, capsys, six_file, kind, order):
@@ -412,20 +381,6 @@ class TestErrorsBeforeOutput:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["lexmin", "colexmax", "stability", "identities"])
-    def test_suites_pass(self, capsys, six_file, suite):
-        code, out, _ = run(capsys, "verify", six_file, "--suite", suite)
-        assert code == 0
-        assert "FAIL" not in out
-        assert "PASS" in out
-
-    def test_identities_notes(self, capsys, six_file):
-        code, out, _ = run(capsys, "verify", six_file, "--suite", "identities",
-                           "--probes", "5", "--seed", "1")
-        assert code == 0
-        assert "note: bfs-after-search equals bfs on this input: no" in out
-        assert "probed orders" in out
-
     def test_identities_probes_count_differing_orders(self, capsys, six_file):
         code, out, _ = run(capsys, "verify", six_file, "--suite", "identities",
                            "--probes", "50", "--seed", "0")
@@ -437,20 +392,6 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--probes" in err
-
-    def test_extremality_lines(self, capsys, six_file):
-        code, out, _ = run(capsys, "verify", six_file, "--suite", "lexmin")
-        assert (code, out) == (0, "lex-min-traversal: PASS\nlex-min-breadth-first: PASS\n")
-        code, out, _ = run(capsys, "verify", six_file, "--suite", "colexmax")
-        assert (code, out) == (0, "colex-max-inverse: PASS\n")
-
-    def test_failed_verdict_exits_1(self, capsys, monkeypatch, six_file):
-        monkeypatch.setattr(
-            cli, "verify_lex_min",
-            lambda g: {"lex-min-traversal": True, "lex-min-breadth-first": False},
-        )
-        code, out, _ = run(capsys, "verify", six_file, "--suite", "lexmin")
-        assert (code, out) == (1, "lex-min-traversal: PASS\nlex-min-breadth-first: FAIL\n")
 
 
 def test_stability_and_witness_verdicts_search_their_graph_once(capsys, monkeypatch, six_file):
@@ -492,27 +433,6 @@ class TestWitness:
         code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2")
         assert code == 0
         assert out == "".join(format_manifest(build_zeta_witness(1, 1, 2)))
-
-    def test_verify_flag(self, capsys):
-        code, out, _ = run(capsys, "witness", "--m", "2", "--n", "1", "--k", "3", "--verify")
-        assert code == 0
-        assert "predicted-traversal: PASS" in out
-        assert "zeta-profile: PASS" in out
-
-    def test_failed_certificate_exits_1(self, capsys, monkeypatch):
-        verdicts = {
-            "predicted-traversal": True,
-            "block-intervals": True,
-            "quotient-stability": False,
-            "zeta-profile": True,
-        }
-        monkeypatch.setattr(cli, "verify_witness", lambda build: verdicts)
-        code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2", "--verify")
-        assert code == 1
-        assert out.endswith(
-            "predicted-traversal: PASS\nblock-intervals: PASS\n"
-            "quotient-stability: FAIL\nzeta-profile: PASS\n"
-        )
 
     def test_envelope_error(self, capsys):
         code, _, err = run(capsys, "witness", "--m", "9", "--n", "0", "--k", "2")

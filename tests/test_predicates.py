@@ -31,6 +31,7 @@ from ordsearch.predicates import (
     is_traversal,
     level_decomposition,
     verify_colex_max,
+    verify_identities,
     verify_lex_min,
     verify_quotient_stability,
     verify_subset_stability,
@@ -670,6 +671,11 @@ def test_stability_verdicts_reject_a_run_not_from_vertex_zero(six_cycle_tail):
     ):
         with pytest.raises(ValueError, match="from vertex 0, not from 1"):
             verdict()
+
+
+def test_identities_reject_a_negative_probe_count(six_cycle_tail):
+    with pytest.raises(ValueError, match="^probes must be >= 0, not -1$"):
+        verify_identities(six_cycle_tail, -1)
 
 
 @pytest.mark.parametrize(
