@@ -23,7 +23,7 @@ from ordsearch import acceptance, cli, graph, predicates, search, witness
 from ordsearch.cli import main
 from ordsearch.graph import MAX_RANDOM_EDGES, MAX_VERTICES, deserialize, is_connected, serialize
 from ordsearch.ordinal import MAX_EXPONENT_DEPTH
-from ordsearch.witness import build_zeta_witness, format_manifest
+from ordsearch.witness import build_zeta_witness
 
 
 @pytest.fixture
@@ -428,18 +428,7 @@ def test_stability_verdicts_derive_the_least_neighbor_map_once(capsys, monkeypat
     assert calls == [(0, 1, 2, 4, 5, 3)]
 
 
-class TestWitness:
-    def test_manifest(self, capsys):
-        code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2")
-        assert code == 0
-        assert out == "".join(format_manifest(build_zeta_witness(1, 1, 2)))
-
-    def test_envelope_error(self, capsys):
-        code, _, err = run(capsys, "witness", "--m", "9", "--n", "0", "--k", "2")
-        assert code == 2
-        assert "envelope" in err
-
-
+# The (1, 1, 2) witness manifest, with a slot for the predicted order.
 WITNESS_112 = (
     "witness m=1 n=1 k=2 alpha=w+1 zeta=w*2\n"
     "# truncated construction; the block certificate is evidence, not proof\n"
@@ -448,6 +437,20 @@ WITNESS_112 = (
     "block: anchor=0 members=0 1 3\n"
     "block: anchor=5 members=5 2 4\n"
 )
+
+
+class TestWitness:
+    def test_manifest(self, capsys):
+        code, out, _ = run(capsys, "witness", "--m", "1", "--n", "1", "--k", "2")
+        assert code == 0
+        assert out == WITNESS_112.format("0 1 3 5 2 4")
+
+    def test_envelope_error(self, capsys):
+        code, _, err = run(capsys, "witness", "--m", "9", "--n", "0", "--k", "2")
+        assert code == 2
+        assert "envelope" in err
+
+
 SIX_SEARCH, SIX_BFS = (0, 1, 2, 4, 5, 3), (0, 1, 5, 2, 3, 4)
 SIX_PATH = deserialize("n 6\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
 # The identities suite's stdout on the six-vertex example, given each
