@@ -3,11 +3,16 @@
 Vertices are the integers 0..vertex_count-1 and the numeric order on indices
 is the order every search in this package consults.  Any other vertex order
 is expressed by relabeling the graph along a permutation.  Graphs are
-immutable and canonical: edges are stored sorted with each pair normalized,
-so structural equality is plain equality.
+immutable and canonical: ``edges`` reads as the normalized pairs, sorted,
+so structural equality is plain equality.  A graph stores one of two forms
+and derives the other on first use.  The checking constructor and the
+package's builders store the edges; ``deserialize`` stores the adjacency
+index, which is what every search reads.
 
 The text format is line based: ``n <count>`` first, then ``e <u> <v>`` lines,
-``#`` starts a comment, blank lines are ignored.  DOT export is one way and
+``#`` starts a comment, blank lines are ignored.  Lines break at ``"\n"``,
+``"\r\n"`` and ``"\r"``, as universal-newline reading breaks them, and
+nowhere else.  DOT export is one way and
 can annotate vertices with their position in a traversal.  Both writers
 yield pieces of whole ``"\n"``-terminated lines as they are asked for, so
 writing a graph holds no copy of its text: ``dot_export`` one line a piece,
@@ -20,9 +25,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -73,6 +79,25 @@ class NotATraversalError(ValueError):
         super().__init__("order is not a traversal of the graph")
 
 
+class _DerivedEdges:
+    """The class attribute behind ``OrderedGraph.edges``.  On the class it
+    reads as the field's default, ``()``.  A graph that stores its edges
+    shadows it; on one that stores only its adjacency index it derives the
+    edges in canonical order, each vertex's larger neighbors in turn, in
+    O(n + m), and stores them."""
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return ()
+        edges = tuple(
+            chain.from_iterable(
+                zip(repeat(u), nbs[bisect_right(nbs, u) :]) for u, nbs in enumerate(g.adjacency)
+            )
+        )
+        object.__setattr__(g, "edges", edges)
+        return edges
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """An undirected graph on vertices 0..vertex_count-1.
@@ -80,12 +105,15 @@ class OrderedGraph:
     Edges may be given in any order and orientation; they are normalized to
     (min, max), deduplicated and sorted.  Self-loops and out-of-range
     endpoints are rejected.  The constructor checks and sorts every edge, in
-    O(m log m); the package's own builders, which produce canonical edges
-    already, skip that pass through the trusted ``_canonical``.
+    O(m log m), and stores them; ``adjacency`` is derived on first use.  Two
+    trusted constructors skip that pass.  ``_canonical``, for the package's
+    builders, stores edges that are canonical already.  ``_indexed``, for
+    ``deserialize``, stores a checked adjacency index, and ``edges`` is then
+    derived from it on first use.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: tuple[tuple[int, int], ...] = _DerivedEdges()
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -106,6 +134,15 @@ class OrderedGraph:
         self = object.__new__(cls)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
+        return self
+
+    @classmethod
+    def _indexed(cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> OrderedGraph:
+        # Trusted constructor: each neighbor tuple ascending, in range,
+        # without repeats or self-loops, and u in v's tuple iff v in u's.
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "adjacency", adjacency)
         return self
 
     @cached_property
@@ -301,21 +338,59 @@ def serialize(g: OrderedGraph) -> Iterator[str]:
 def deserialize(text: str) -> OrderedGraph:
     """Parse the line-based graph format, reporting errors with line numbers.
 
-    Each edge is checked once, as its line is read, and stored as the
-    number u * n + v of its normalized pair (u, v), u < v; one sort of those
-    numbers then puts the edges in canonical order, so the parse costs
-    O(m log m) and the graph is built without a second check."""
-    vertex_count = None
-    seen: set[int] = set()
-    lines = text.splitlines()
+    Lines break at ``"\n"``, ``"\r\n"`` and ``"\r"`` only.  The edge lines
+    fill one neighbor list per vertex, and each list is sorted once and kept
+    as the graph's adjacency index: O(n + m log Δ) time for maximum degree
+    Δ, O(n + m) memory, and no edge tuple unless ``edges`` is read.  A
+    repeated edge is found in the sorted lists, after the read.  Whatever
+    the fault, the error names the first faulty line in text order: before
+    a fault is reported, the lines above it are scanned for a repeat."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    try:
+        vertex_count, lists = _neighbor_lists(lines)
+    except GraphFormatError as fault:
+        raise _first_repeat(islice(lines, fault.line - 1)) or fault from None
+    if vertex_count is None:
+        # The count splitlines() gives: a final line break ends no line.
+        raise GraphFormatError("missing vertex count line", len(lines) - (lines[-1] == "") or 1)
+    # The lines' memory goes to the tuples below; a repeat splits the text again.
+    del lines
+    if lists is None:
+        return OrderedGraph._indexed(vertex_count, ((),) * vertex_count)
+    repeated = False
+    # Each list is replaced by its tuple as that is made, so the lists and
+    # the tuples are never all held at once.
+    for v, nbs in enumerate(lists):
+        if len(nbs) > 1:
+            nbs.sort()
+            repeated = repeated or len(set(nbs)) < len(nbs)
+        lists[v] = tuple(nbs)
+    if repeated:
+        raise _first_repeat(text.split("\n"))
+    return OrderedGraph._indexed(vertex_count, tuple(lists))
+
+
+def _neighbor_lists(lines: list[str]) -> tuple[int | None, list[list[int]] | None]:
+    """The vertex count and the neighbor lists the lines give, each list in
+    line order.  Every rule is checked, as each line is read, but the one
+    against repeated edges.  The lists are made at the first edge line, so
+    a header alone costs no more than the index of empty tuples it implies;
+    they are None if there is none.  A per-vertex table gives each vertex
+    one int object, which every list that holds the vertex shares."""
+    vertex_count = lists = None
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields:
             continue
         head = fields[0]
         if head == "e":
-            if vertex_count is None:
-                raise GraphFormatError("edge before vertex count line", lineno)
+            if lists is None:
+                if vertex_count is None:
+                    raise GraphFormatError("edge before vertex count line", lineno)
+                lists = [[] for _ in range(vertex_count)]
+                table = list(range(vertex_count))
             if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
             try:
@@ -323,20 +398,12 @@ def deserialize(text: str) -> OrderedGraph:
                 v = int(fields[2])
             except ValueError as exc:  # a literal beyond Python's digit limit
                 raise GraphFormatError(f"unreadable number: {exc}", lineno) from None
-            if u < v:
-                if v >= vertex_count:
-                    raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
-                key = u * vertex_count + v
-            elif v < u:
-                if u >= vertex_count:
-                    raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
-                key = v * vertex_count + u
-            else:
+            if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            if key in seen:
-                lo, hi = divmod(key, vertex_count)
-                raise GraphFormatError(f"duplicate edge ({lo}, {hi})", lineno)
-            seen.add(key)
+            if u >= vertex_count or v >= vertex_count:
+                raise GraphFormatError(f"endpoint out of range in ({u}, {v})", lineno)
+            lists[u].append(table[v])
+            lists[v].append(table[u])
         elif head == "n":
             if vertex_count is not None:
                 raise GraphFormatError("duplicate vertex count line", lineno)
@@ -352,11 +419,23 @@ def deserialize(text: str) -> OrderedGraph:
                 )
         elif head[0] != "#":
             raise GraphFormatError(f"unknown directive {head!r}", lineno)
-    if vertex_count is None:
-        raise GraphFormatError("missing vertex count line", len(lines) or 1)
-    keys = sorted(seen)
-    del seen, lines
-    return OrderedGraph._canonical(vertex_count, tuple(map(divmod, keys, repeat(vertex_count))))
+    return vertex_count, lists
+
+
+def _first_repeat(lines: Iterable[str]) -> GraphFormatError | None:
+    """The error for the first edge line that repeats an earlier one, in
+    either orientation, or None.  Every edge line given has passed all the
+    other checks."""
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if fields and fields[0] == "e":
+            u, v = int(fields[1]), int(fields[2])
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                return GraphFormatError(f"duplicate edge {pair}", lineno)
+            seen.add(pair)
+    return None
 
 
 def dot_export(g: OrderedGraph, traversal: Sequence[int] | None = None) -> Iterator[str]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -291,16 +292,97 @@ def sorted_neighbor_lists(n, edges):
     return tuple(tuple(sorted(ns)) for ns in lists)
 
 
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
+"""Where universal-newline reading breaks lines, as README's format says."""
+
+
 @st.composite
 def edge_texts(draw):
-    """A graph's edge list and its text, the lines shuffled and each edge in
-    a random orientation."""
+    """A graph's edge list and its text: the edge lines shuffled, each edge in
+    a random orientation, among comments and blank lines, with padded fields,
+    leading zeros, and "\n", "\r\n" or "\r" ending each line."""
     n = draw(st.integers(0, 30))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    lines = [f"e {v} {u}" if draw(st.booleans()) else f"e {u} {v}" for u, v in edges]
-    lines = draw(st.permutations(lines)) if lines else []
-    return n, edges, "\n".join([f"n {n}", *lines]) + "\n"
+    pad = st.sampled_from(["", " ", "\t", "  "])
+
+    def numeral(k):
+        return draw(st.sampled_from(["", "0", "00"])) + str(k)
+
+    def line(*fields):
+        return draw(pad) + draw(st.sampled_from([" ", "\t", " \t "])).join(fields) + draw(pad)
+
+    # Comments hold no surrogate, and no character that str.splitlines()
+    # alone breaks at: test_comments_and_blanks covers those.
+    remark = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+    filler = st.one_of(pad, st.builds("{}#{}".format, pad, remark))
+    lines = [line("e", *map(numeral, draw(st.permutations((u, v))))) for u, v in edges]
+    lines = draw(st.permutations(lines + draw(st.lists(filler, max_size=4))))
+    lines = [*draw(st.lists(filler, max_size=2)), line("n", numeral(n)), *lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    return n, edges, "".join(map(str.__add__, lines, ends))
+
+
+def first_fault(text):
+    """(line, message) for the first line of the text that breaks README's
+    format rules, or None.  Written from those rules alone, so it shares no
+    code with ``deserialize``."""
+    count, seen = None, set()
+    for lineno, line in enumerate(LINE_BREAK.split(text), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if fields[0] == "n":
+            if count is not None:
+                return lineno, "duplicate vertex count line"
+            if len(fields) != 2 or not fields[1].isdecimal():
+                return lineno, "expected 'n <count>'"
+            count = int(fields[1])
+        elif fields[0] != "e":
+            return lineno, f"unknown directive {fields[0]!r}"
+        elif count is None:
+            return lineno, "edge before vertex count line"
+        elif len(fields) != 3 or not (fields[1].isdecimal() and fields[2].isdecimal()):
+            return lineno, "expected 'e <u> <v>'"
+        else:
+            u, v = int(fields[1]), int(fields[2])
+            if u == v:
+                return lineno, f"self-loop at vertex {u}"
+            if max(u, v) >= count:
+                return lineno, f"endpoint out of range in ({u}, {v})"
+            if (min(u, v), max(u, v)) in seen:
+                return lineno, f"duplicate edge ({min(u, v)}, {max(u, v)})"
+            seen.add((min(u, v), max(u, v)))
+    return None
+
+
+@st.composite
+def faulty_texts(draw):
+    """An ``edge_texts`` text with one to three faulty lines put in at random
+    places: a repeated edge in either orientation, a self-loop, an endpoint
+    out of range, a token that is not a decimal number, or a second count
+    line."""
+    n, edges, text = draw(edge_texts())
+    lines = LINE_BREAK.split(text)[:-1]  # the text ends with a line break
+    vertex = st.integers(0, max(n - 1, 0))
+
+    def edge_line(ends):  # either orientation
+        return ends.flatmap(st.permutations).map(lambda pair: "e {} {}".format(*pair))
+
+    faults = [
+        st.builds("e {0} {0}".format, vertex),
+        edge_line(st.tuples(vertex, st.integers(n, n + 5))),
+        edge_line(st.tuples(vertex, st.sampled_from(["x", "-1", "+1", "1.0", "\u00b2", "1_0"]))),
+        st.builds("n {}".format, st.integers(0, 40)),
+    ]
+    if edges:
+        # A repeat is the one fault found after the read, so it comes up
+        # twice as often as each of the others.
+        faults += [edge_line(st.sampled_from(edges))] * 2
+    for fault in draw(st.lists(st.one_of(faults), min_size=1, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end
 
 
 class TestTrustedPath:
@@ -312,8 +394,22 @@ class TestTrustedPath:
     def test_parse_matches_the_checking_constructor(self, case):
         n, edges, text = case
         g = deserialize(text)
-        assert g == OrderedGraph(n, tuple(edges))
+        checked = OrderedGraph(n, tuple(edges))
         assert g.adjacency == sorted_neighbor_lists(n, edges)
+        assert g.edges == checked.edges
+        assert g == checked
+        assert hash(g) == hash(checked)
+        assert repr(g) == repr(checked)
+        assert "".join(serialize(g)) == "".join(serialize(checked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_texts())
+    def test_parse_reports_the_first_fault_in_text_order(self, text):
+        line, message = first_fault(text)
+        with pytest.raises(GraphFormatError) as exc:
+            deserialize(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
 
     def test_relabel_on_all_small_graphs(self):
         for n in range(1, 6):
@@ -350,8 +446,14 @@ class TestSerialization:
         assert g == path_graph(3)
 
     def test_comments_and_blanks(self):
-        g = deserialize("# a path\n\nn 2\n e 0 1 \n")
-        assert g == path_graph(2)
+        for text in [
+            "# a path\n\nn 2\n e 0 1 \n",
+            "n 2\r\n# a path\r\re 0 1",
+            # Only "\n", "\r\n" and "\r" end a line; these are one comment.
+            "n 2\n# note\u2028more\ne 0 1\n",
+            "n 2\n# \v \f \x1c \x1d \x1e \x85 \u2029 end\ne 0 1\n",
+        ]:
+            assert deserialize(text) == path_graph(2)
 
     def test_round_trip(self):
         rng = random.Random(13)
@@ -373,6 +475,8 @@ class TestSerialization:
             ("n 2\nx 0 1\n", 2),
             ("n 2\ne 0\n", 2),
             ("n 2\nn 3\n", 2),
+            ("n 2\ne 0 1\x85\ne 0 5\n", 3),  # "\x85" ends no line
+            ("n 2\r\n\r\ne 0 5\r\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):
@@ -400,7 +504,18 @@ class TestSerialization:
         assert exc.value.line == lineno
 
     def test_vertex_count_envelope(self):
-        assert deserialize(f"n {MAX_VERTICES}\n").vertex_count == MAX_VERTICES
+        # A header alone costs no more than the index of empty tuples it
+        # implies, 8 bytes a vertex.
+        tracemalloc.start()
+        try:
+            g = deserialize(f"n {MAX_VERTICES}\n")
+            g.adjacency
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.vertex_count == MAX_VERTICES
+        assert g.adjacency == ((),) * MAX_VERTICES
+        assert peak < 8 * MAX_VERTICES + 2**16
         with pytest.raises(GraphFormatError) as exc:
             deserialize(f"# one too many\nn {MAX_VERTICES + 1}\n")
         assert exc.value.line == 2
