@@ -12,12 +12,17 @@ commands raise every input error before their first line.
 
 The argument parsers are built once, by ``functools.cache`` on the first
 request, and reused; they hold only this module's handlers, which look up
-library functions by name when they run.  Each request is parsed once: when
-the first argument names a command, that command's own parser reads the
-rest, as the full parser would hand it over.  Every other request goes
-through the full parser, so that its usage, help and error text stay as they
-are: no arguments, an option or an unknown word first, and arguments the
-command leaves over ("unrecognized arguments" is the full parser's error).
+library functions by name when they run.  A request whose first argument
+names a command is read through that command's table, made once from the
+same parsers' actions, so no option is declared twice: each word must be an
+exact option string, one of its values (a word that does not start with
+``-``, or ``-`` alone), or the command's positional argument; each value is
+converted by its action's type and checked against its choices.  For such a
+plain-form request the table gives the namespace the full parser would give.
+Every other request goes through the full parser, which alone makes help,
+usage and error text: no arguments, an unknown word first, help, an
+abbreviation, ``--opt=value``, ``--``, a negative number, an unknown or left
+over word, a value that does not convert, or a missing argument.
 ``selftest`` loads the acceptance suite when it runs, so no other request
 imports it.
 """
@@ -253,18 +258,107 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
+def _table(name: str, parser: argparse.ArgumentParser) -> tuple | None:
+    """The command's table, read off its parser's actions: (its options by
+    option string, its positionals in order, its defaults with ``command``
+    and ``func``, its required options, its mutually exclusive groups with
+    whether each is required).  It reads store actions (one value, or
+    ``nargs="+"`` for an option) and store_true flags, and groups of flags;
+    a parser with any other action but help gets no table.  So does a str
+    default, which argparse converts by the action's type on every parse."""
+    options, positionals, required = {}, [], set()
+    defaults = {**parser._defaults, "command": name}
+    for action in parser._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        flag = kind is argparse._StoreTrueAction
+        store = kind is argparse._StoreAction and (
+            action.nargs is None or action.nargs == "+" and action.option_strings
+        )
+        if isinstance(action.default, str) or not (flag or store):
+            return None
+        defaults[action.dest] = action.default
+        if not action.option_strings:
+            positionals.append(action)
+            continue
+        options.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.add(action)
+    groups = [
+        (set(group._group_actions), group.required) for group in parser._mutually_exclusive_groups
+    ]
+    if any(action.nargs != 0 for members, _ in groups for action in members):
+        return None
+    return options, positionals, defaults, required, groups
+
+
+@functools.cache
+def _tables() -> dict[str, tuple]:
+    """Each command's table, by name, made once from the cached parsers."""
+    tables = {name: _table(name, parser) for name, parser in _build_parsers()[1].items()}
+    return {name: table for name, table in tables.items() if table is not None}
+
+
+def _converted(action: argparse.Action, words: list[str]) -> list | None:
+    """The words converted by the action's type and checked against its
+    choices, or None where argparse reports an error."""
+    try:
+        values = words if action.type is None else list(map(action.type, words))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if action.choices is not None and any(value not in action.choices for value in values):
+        return None
+    return values
+
+
+def _read(table: tuple, words: list[str]) -> argparse.Namespace | None:
+    """The full parser's namespace for a plain-form request (module
+    docstring), given the words after the command name; None for any other."""
+    options, positionals, defaults, required, groups = table
+    values = dict(defaults)
+    seen = set()
+    marks = [i for i, word in enumerate(words) if word[:1] == "-" and word != "-"]
+    plain = words[: marks[0]] if marks else words
+    for i, stop in zip(marks, [*marks[1:], len(words)]):
+        action = options.get(words[i])
+        if action is None:
+            return None
+        seen.add(action)
+        # A flag takes no value, an option the next word, and with
+        # nargs="+" every word up to the next option.
+        run = words[i + 1 : stop]
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            taken = run if action.nargs == "+" else run[:1]
+            converted = _converted(action, taken) if taken else None
+            if converted is None:
+                return None
+            values[action.dest] = converted if action.nargs == "+" else converted[0]
+            run = run[len(taken) :]
+        plain += run
+    if len(plain) != len(positionals) or not required <= seen:
+        return None
+    for action, word in zip(positionals, plain):
+        converted = _converted(action, [word])
+        if converted is None:
+            return None
+        values[action.dest] = converted[0]
+    for members, needed in groups:
+        present = len(members & seen)
+        if present > 1 or needed and not present:
+            return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """One parse of the request; see the module docstring."""
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    table = _tables().get(argv[0]) if argv else None
+    args = _read(table, argv[1:]) if table else None
+    return args if args is not None else _build_parsers()[0].parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -638,7 +638,7 @@ def level_decomposition(
         if nxt:
             levels.append(frozenset(nxt))
         frontier = nxt
-    if len(g.edges) != g.vertex_count - 1:
+    if sum(map(len, g.adjacency)) != 2 * (g.vertex_count - 1):
         return tuple(levels), {"acyclic": False}
     bounds = [(min(ps), max(ps)) for ps in ([positions[v] for v in level] for level in levels)]
     return tuple(levels), {

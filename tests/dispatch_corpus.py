@@ -1,10 +1,14 @@
 """Argument dispatch against the full parser's route.
 
-``main`` hands a request that starts with a command name to that command's
-parser alone.  The reference route here is the one every request took
-before: the full parser's ``parse_args``, then the command's handler, with
+``main`` reads a plain-form request, one whose first argument names a
+command, through that command's table, made once from the parsers' own
+actions; every other request goes through the full parser, which alone makes
+help, usage and error text.  The reference route here is the full parser's
+``parse_args`` for every request, then the command's handler, with
 ``main``'s own error handling around it.  Both must give the same exit code
-(or ``SystemExit`` code), stdout and stderr on every argv.
+(or ``SystemExit`` code), stdout and stderr on every argv.  ``VALID`` holds
+the argvs that parse, each of which the table reads; the rest of ``CORPUS``
+is what the table must leave to the full parser.
 
 Only the standard library is used, so the corpus also runs as a script on
 Python versions without the test dependencies:
@@ -29,7 +33,7 @@ from ordsearch import cli
 SIX = "n 6\ne 0 1\ne 1 2\ne 2 4\ne 4 5\ne 5 0\ne 3 5\n"
 
 # "{six}" stands for a file holding SIX; "-" reads SIX from stdin.
-CORPUS = [
+VALID = [
     # Every command with valid arguments.
     ["search", "{six}"],
     ["search", "{six}", "--trace", "--start", "3"],
@@ -49,6 +53,18 @@ CORPUS = [
     ["zeta", "w^2*3+w+4"],
     ["random", "--n", "7", "--density", "0.4", "--seed", "2"],
     ["selftest", "--only", "99"],
+    # Plain-form edges: an option before the positional, a Unicode digit, a
+    # repeated option (the last one wins), a repeated flag, an empty word.
+    ["verify", "--suite", "lexmin", "-"],
+    ["search", "{six}", "--start", "\u0663"],
+    ["verify", "{six}", "--suite", "stability", "--seed", "1", "--seed", "2"],
+    ["check", "{six}", "--order", "5", "4", "--kind", "dfs", "--order", "0", "1", "5", "2", "3", "4"],
+    ["tree", "{six}", "--bfs", "--bfs"],
+    ["zeta", ""],
+]
+
+CORPUS = [
+    *VALID,
     # Help, at the top level and per command.
     ["--help"],
     ["-h"],
@@ -77,6 +93,14 @@ CORPUS = [
     ["enumerate", "{six}", "--kind", "widest"],
     ["verify", "{six}", "--suite", "all"],
     ["search", "{six}", "--start"],
+    # "-" as a value, swallowed by nargs="+", an empty value, an option and
+    # its value in one word, and an int past int()'s digit limit.
+    ["enumerate", "{six}", "--kind", "-"],
+    ["search", "{six}", "--start", "-"],
+    ["check", "{six}", "--kind", "traversal", "--order", "0", "1", "-"],
+    ["search", "{six}", "--start", ""],
+    ["search", "{six}", "--start 3"],
+    ["search", "{six}", "--start", "9" * 5000],
     # Unknown options and trailing extras.
     ["search", "{six}", "--fast"],
     ["search", "{six}", "-x"],

@@ -853,6 +853,35 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_closed_output_is_one_error_line(tmp_path):
+    # A reader that takes 100 bytes and closes the pipe: each command writes
+    # well past the 64 KiB pipe buffer, so its next write fails.
+    path = tmp_path / "path.g"
+    path.write_text("n 3000\n" + "".join(f"e {v} {v + 1}\n" for v in range(2999)))
+    star = tmp_path / "star.g"
+    star.write_text("n 8\n" + "".join(f"e 0 {v}\n" for v in range(1, 8)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    requests = [
+        (["witness", "--m", "3", "--n", "0", "--k", "40"], os.devnull),
+        (["bfs", "-", "--trace"], path),
+        (["search", "-", "--trace"], path),
+        (["tree", "-", "--traversal", "--dot"], path),
+        (["enumerate", "-", "--kind", "all"], star),
+    ]
+    for argv, source in requests:
+        with open(source) as stdin, subprocess.Popen(
+            [sys.executable, "-m", "ordsearch.cli", *argv],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=60)
+        # One line alone: no traceback and no "Exception ignored" report.
+        assert (code, err) == (2, "error: [Errno 32] Broken pipe\n"), argv
+
+
 class TestCachedParser:
     """``main`` reuses one parser; it must answer like a fresh process."""
 
@@ -955,19 +984,28 @@ class TestHelpText:
         assert p.format_usage() == self.PINNED[prog].split("\n\n")[0] + "\n"
 
 
-class TestDispatch:
-    """A request naming a command is parsed by that command's parser alone;
-    it must answer as the full parser's route does."""
+def corpus_id(argv: list[str]) -> str:
+    """A corpus argv as a test id, with any word longer than 40 characters
+    shortened to its first three and its length."""
+    words = [word if len(word) <= 40 else f"{word[:3]}...({len(word)} chars)" for word in argv]
+    return " ".join(words) or "(none)"
 
-    @pytest.mark.parametrize(
-        "template", dispatch_corpus.CORPUS, ids=lambda argv: " ".join(argv) or "(none)"
-    )
+
+class TestDispatch:
+    """A plain-form request is read through its command's table; it must
+    answer as the full parser's route does."""
+
+    @pytest.mark.parametrize("template", dispatch_corpus.CORPUS, ids=corpus_id)
     def test_matches_the_full_parser(self, six_file, template):
         argv = [word.format(six=six_file) for word in template]
         new, old = dispatch_corpus.both(argv)
         assert new == old
 
-    def test_a_request_is_parsed_once(self, capsys, monkeypatch, six_file):
+    def test_a_request_is_parsed_once(self, monkeypatch, six_file):
+        # Every valid argv is read by the table alone, into the namespace the
+        # full parser gives; one the table declines goes through the full
+        # parser, which hands the rest to the command's parser.
+        reference = dispatch_corpus._reference_parser()
         parsed = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -976,8 +1014,20 @@ class TestDispatch:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        assert run(capsys, "search", six_file, "--start", "3") == (0, "3 5 0 1 2 4\n", "")
-        assert parsed == ["ordsearch search"]
+
+        def route(template):
+            """The parsers that read the argv; its namespace must be the
+            full parser's."""
+            argv = [word.format(six=six_file) for word in template]
+            parsed.clear()
+            args = cli._parse(argv)
+            readers = list(parsed)
+            assert args == reference.parse_args(argv), argv
+            return readers
+
+        for template in dispatch_corpus.VALID:
+            assert route(template) == [], template
+        assert route(["search", "{six}", "--st", "2"]) == ["ordsearch", "ordsearch search"]
 
 
 class TestUsage:
